@@ -28,54 +28,56 @@ Quickstart::
     print(result.overflow_probability)
 """
 
-from repro.core import (
-    AdmissionCriterion,
-    CertaintyEquivalentController,
-    ExponentialMemoryEstimator,
-    MemorylessEstimator,
-    PerfectKnowledgeController,
-    admissible_flow_count,
-    critical_time_scale,
-    make_estimator,
-    q_function,
-    q_inverse,
-    recommended_memory,
-)
-from repro.simulation import SimulationConfig, SimulationResult, simulate
-from repro.theory import (
-    ContinuousLoadModel,
-    adjusted_ce_alpha,
-    adjusted_ce_target,
-    ce_overflow_probability,
-    overflow_probability,
-    overflow_probability_separation,
-)
-from repro.traffic import paper_rcbr_source, starwars_like_source
+import importlib
+
+#: Re-exported name -> the subpackage that defines it.  Resolved lazily
+#: (PEP 562) so that importing one subpackage -- a shard process imports
+#: only ``repro.service`` and the decision path -- does not load the
+#: simulators, the theory and the scipy modules behind them.
+_EXPORTS = {
+    "AdmissionCriterion": "repro.core",
+    "CertaintyEquivalentController": "repro.core",
+    "ExponentialMemoryEstimator": "repro.core",
+    "MemorylessEstimator": "repro.core",
+    "PerfectKnowledgeController": "repro.core",
+    "admissible_flow_count": "repro.core",
+    "critical_time_scale": "repro.core",
+    "make_estimator": "repro.core",
+    "q_function": "repro.core",
+    "q_inverse": "repro.core",
+    "recommended_memory": "repro.core",
+    "SimulationConfig": "repro.simulation",
+    "SimulationResult": "repro.simulation",
+    "simulate": "repro.simulation",
+    "ContinuousLoadModel": "repro.theory",
+    "adjusted_ce_alpha": "repro.theory",
+    "adjusted_ce_target": "repro.theory",
+    "ce_overflow_probability": "repro.theory",
+    "overflow_probability": "repro.theory",
+    "overflow_probability_separation": "repro.theory",
+    "paper_rcbr_source": "repro.traffic",
+    "starwars_like_source": "repro.traffic",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdmissionCriterion",
-    "CertaintyEquivalentController",
-    "ContinuousLoadModel",
-    "ExponentialMemoryEstimator",
-    "MemorylessEstimator",
-    "PerfectKnowledgeController",
-    "SimulationConfig",
-    "SimulationResult",
-    "__version__",
-    "adjusted_ce_alpha",
-    "adjusted_ce_target",
-    "admissible_flow_count",
-    "ce_overflow_probability",
-    "critical_time_scale",
-    "make_estimator",
-    "overflow_probability",
-    "overflow_probability_separation",
-    "paper_rcbr_source",
-    "q_function",
-    "q_inverse",
-    "recommended_memory",
-    "simulate",
-    "starwars_like_source",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    """Resolve a re-exported name, or a subpackage, on first use."""
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+        globals()[name] = value
+        return value
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -511,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal-max-entries",
         type=int,
         default=4096,
-        help="per-leader journal bound (checkpoint truncation)",
+        help="per-shard journal bound: leaders and followers take a state "
+        "checkpoint every this many entries",
     )
     cluster.add_argument(
         "--kill",

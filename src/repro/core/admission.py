@@ -18,6 +18,7 @@ controller (with the true parameters) and every measurement-based controller
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,30 @@ def admissible_flow_count_alpha(mu, sigma, capacity, alpha):
         )
     m = x * x
     return m if m.ndim else float(m)
+
+
+def _admissible_count_scalar(mu, sigma, capacity, alpha):
+    """Eqn (42) on Python floats: the one-decision form of the above.
+
+    Same checks, branches and operation order as
+    :func:`admissible_flow_count_alpha`, so the result is bit-identical
+    (IEEE ``+ - * /`` and ``sqrt`` are correctly rounded in both), but
+    without the array dispatch that dominates a single evaluation.
+    """
+    if mu <= 0.0:
+        raise ParameterError("mu must be positive")
+    if sigma < 0.0:
+        raise ParameterError("sigma must be non-negative")
+    if capacity <= 0.0:
+        raise ParameterError("capacity must be positive")
+    s_alpha = sigma * alpha
+    four_c_mu = 4.0 * capacity * mu
+    root = math.sqrt(s_alpha * s_alpha + four_c_mu)
+    if s_alpha > 0.0 and four_c_mu < 1e-6 * s_alpha * s_alpha:
+        x = 2.0 * capacity / (root + s_alpha)
+    else:
+        x = (root - s_alpha) / (2.0 * mu)
+    return x * x
 
 
 def admissible_flow_count(mu, sigma, capacity, p_target):
@@ -154,8 +179,14 @@ class AdmissionCriterion:
         return q_function(self.alpha)
 
     def admissible_count(self, mu: float, sigma: float) -> float:
-        """Real-valued admissible flow count for estimates ``(mu, sigma)``."""
-        return admissible_flow_count_alpha(mu, sigma, self.capacity, self.alpha)
+        """Real-valued admissible flow count for estimates ``(mu, sigma)``.
+
+        Scalar fast path: bit-identical to
+        :func:`admissible_flow_count_alpha` on the same inputs.
+        """
+        return _admissible_count_scalar(
+            float(mu), float(sigma), float(self.capacity), float(self.alpha)
+        )
 
     def admits(self, mu: float, sigma: float, current_flows: int) -> bool:
         """Whether one more flow may be admitted given current occupancy.

@@ -96,12 +96,18 @@ def cross_section(rates) -> CrossSection:
     n = int(arr.size)
     if n == 0:
         return CrossSection(n=0, mean=0.0, second_moment=0.0, variance=0.0)
-    if not np.all(np.isfinite(arr)):
+    # A feed calls this once per epoch per link, so the reductions are
+    # the bare ufunc ones: min/max propagate NaN (and expose +-inf) for
+    # the validity checks, and the means are numpy's pairwise sums over
+    # ``n`` -- bit-identical to ``arr.mean()``, without its dispatch.
+    lo = float(np.minimum.reduce(arr, axis=None))
+    hi = float(np.maximum.reduce(arr, axis=None))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise EstimatorError("per-flow rates must be finite (got NaN or inf)")
-    if np.any(arr < 0.0):
+    if lo < 0.0:
         raise EstimatorError("per-flow rates must be non-negative")
-    mean = float(arr.mean())
-    m2 = float(np.mean(arr * arr))
+    mean = float(np.add.reduce(arr, axis=None)) / n
+    m2 = float(np.add.reduce(arr * arr, axis=None)) / n
     if n >= 2:
         var = float(max(0.0, (m2 - mean * mean)) * n / (n - 1))
     else:

@@ -19,9 +19,8 @@ Two arrival modes:
   batched decision path exists for.  Quantization delays each request by
   at most ``w``; choose ``w`` well below the holding time.
 
-This is the engine behind ``repro serve-replay`` and
-``benchmarks/bench_runtime.py``; the replication/scaling PRs build on the
-same driver.
+This is the engine behind ``repro serve-replay``; the replication and
+scaling layers build on the same driver.
 """
 
 from __future__ import annotations

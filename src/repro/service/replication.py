@@ -14,13 +14,14 @@ history as it goes.
 Failure model
 -------------
 * **Shard loss** (crash, SIGKILL, health-driven quarantine of the whole
-  process): the supervisor promotes the follower.  Promotion replays the
-  follower's journal on a fresh twin gateway via the existing
-  :func:`~repro.service.server.replay_journal` and requires the replayed
-  digest to equal the running digest; the supervisor's authoritative
-  flow table rides in the promote request, so decisions the dead leader
-  applied but never shipped are repaired (journaled ``migrate_in`` /
-  ``migrate_out``), leaving zero lost and zero double-admitted flows.
+  process): the supervisor promotes the follower.  Promotion restores
+  the follower's state checkpoint, replays only the journal tail past
+  it via :func:`~repro.service.server.replay_journal`, and requires the
+  replayed digest to equal the running digest; the supervisor's
+  authoritative flow table rides in the promote request, so decisions
+  the dead leader applied but never shipped are repaired (journaled
+  ``migrate_in`` / ``migrate_out``), leaving zero lost and zero
+  double-admitted flows.
 * **Ring resize** (add/remove shards under load): the ~1/N remapped
   flows move with an explicit two-phase handoff -- ``migrate-out``
   journals the departure on the source, ``migrate-in`` journals the
@@ -295,7 +296,6 @@ def _shard_main(
         collect_digest=True,
         keep_journal=True,
         journal_max_entries=journal_max_entries,
-        gateway_factory=spec.build,
         standby=standby,
     )
     if follower_addr is not None:
@@ -371,8 +371,10 @@ class ProcessCluster:
         Standby followers per shard: ``1`` (journal-shipped follower,
         the default) or ``0`` (no redundancy; failover raises).
     journal_max_entries : int, optional
-        Leader-side journal bound (checkpoint truncation of the
-        follower-acked prefix).  ``None`` keeps full journals.
+        Journal bound of every shard process, leader and follower alike:
+        each takes a state checkpoint every this many entries and drops
+        what it covers (a leader keeps entries its follower has not
+        acked).  ``None`` keeps full journals.
     sync_interval, sync_batch : float, int
         Replication pump cadence and max entries per segment.
     """
@@ -549,7 +551,7 @@ class ProcessCluster:
                 self.host,
                 child,
                 standby,
-                None if standby else self.journal_max_entries,
+                self.journal_max_entries,
                 None if standby else follower_addr,
                 self.sync_interval,
                 self.sync_batch,

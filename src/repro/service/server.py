@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import io
 import logging
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,6 +49,7 @@ from repro.errors import (
 from repro.runtime.gateway import AdmissionGateway
 from repro.runtime.health import LinkHealth
 from repro.runtime.metrics import json_safe
+from repro.runtime.observability import DecisionTracer, Profiler
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     MAX_PROTOCOL_VERSION,
@@ -67,6 +70,8 @@ __all__ = [
     "shard_health",
     "replay_journal",
     "digest_record",
+    "dump_gateway_state",
+    "load_gateway_state",
 ]
 
 logger = logging.getLogger(__name__)
@@ -172,27 +177,27 @@ class AdmissionServer:
         sequentially.  Off by default -- without ``journal_max_entries``
         the journal grows unboundedly.
     journal_max_entries : int, optional
-        Bound the in-memory journal: once it exceeds this many entries,
-        the oldest entries are folded into a live **checkpoint** (a twin
-        gateway built from ``gateway_factory`` plus a running digest), so
-        ``replay_journal(checkpoint, tail, sha=...)`` still reproduces
-        the served digest while memory stays flat.  Entries above
-        ``retain_floor`` (set by a replication pump to the follower's
-        acked offset) are never dropped.  Requires ``keep_journal`` and
-        ``gateway_factory``.
+        Bound the in-memory journal with a **state checkpoint**: the
+        pickled gateway plus a copy of the running digest at a journal
+        offset.  A new checkpoint is taken once the journal has grown
+        more than this many entries past the last one, and entries below
+        both the checkpoint and ``retain_floor`` (set by a replication
+        pump to the follower's acked offset) are dropped.  Restoring the
+        checkpoint and replaying the retained tail reproduces the served
+        digest (:meth:`replay_from_checkpoint`).  Requires
+        ``keep_journal`` and ``collect_digest``.
     gateway_factory : callable, optional
-        Zero-argument callable building a fresh gateway identical to
-        ``gateway`` (deterministic twin).  Used for the truncation
-        checkpoint and for promotion-time replay verification.
+        Accepted for compatibility and unused: checkpoints pickle the
+        live gateway, so no twin gateway is built.
     standby : bool
         Run as a replication **follower**: every client-facing mutating
         op (admit/depart/telemetry/migrate) is refused with a typed
         ``state-error`` until promotion; state advances only through
         ``journal-sync`` segments shipped by the leader, whose per-segment
         checkpoint digest is verified against the follower's own running
-        digest.  Requires ``keep_journal``, ``collect_digest`` and
-        ``gateway_factory`` (a ``promote`` request replays the retained
-        journal on a fresh twin to prove the rebuild before going live).
+        digest.  Requires ``keep_journal`` and ``collect_digest`` (a
+        ``promote`` request restores the checkpoint and replays the
+        journal tail to prove the rebuild before going live).
     metrics_writer : MetricsJsonlWriter, optional
         Periodic snapshot sink, polled on the server's logical clock
         after every applied request and closed (final partial interval
@@ -221,22 +226,17 @@ class AdmissionServer:
         if journal_max_entries is not None:
             if journal_max_entries < 1:
                 raise ParameterError("journal_max_entries must be at least 1")
-            if not keep_journal:
+            if not keep_journal or not collect_digest:
                 raise ParameterError(
-                    "journal_max_entries requires keep_journal=True"
+                    "journal_max_entries requires keep_journal=True and "
+                    "collect_digest=True (a checkpoint carries the running "
+                    "digest)"
                 )
-            if gateway_factory is None:
-                raise ParameterError(
-                    "journal_max_entries requires a gateway_factory (the "
-                    "checkpoint twin that absorbs truncated entries)"
-                )
-        if standby and (
-            not keep_journal or not collect_digest or gateway_factory is None
-        ):
+        if standby and (not keep_journal or not collect_digest):
             raise ParameterError(
-                "a standby follower requires keep_journal=True, "
-                "collect_digest=True and a gateway_factory (it must be able "
-                "to replay and verify the shipped journal at promotion)"
+                "a standby follower requires keep_journal=True and "
+                "collect_digest=True (it must be able to replay and verify "
+                "the shipped journal at promotion)"
             )
         self.gateway = gateway
         self.name = str(name)
@@ -249,19 +249,22 @@ class AdmissionServer:
         self.journal: list[tuple[str, object, float]] | None = (
             [] if keep_journal else None
         )
-        #: Absolute offset of ``journal[0]`` (> 0 once truncation folded
-        #: dropped entries into the checkpoint).
+        #: Absolute offset of ``journal[0]`` (> 0 once entries covered by
+        #: a checkpoint were dropped).
         self.journal_start = 0
         #: Absolute offset below which truncation may drop entries
         #: (``None`` = unconstrained).  A replication pump sets this to
         #: the follower's acked offset so un-shipped entries survive.
         self.retain_floor: int | None = None
         self._journal_limit = journal_max_entries
-        self._gateway_factory = gateway_factory
-        self._ckpt_gateway = (
-            gateway_factory() if journal_max_entries is not None else None
-        )
+        #: Journal offset of the state checkpoint: ``_ckpt_state`` is the
+        #: pickled gateway and ``_ckpt_sha`` the running digest as of
+        #: that offset.
+        self.checkpoint_offset = 0
+        self._ckpt_state: bytes | None = None
         self._ckpt_sha = hashlib.sha256()
+        if journal_max_entries is not None or self.standby:
+            self._take_checkpoint()
         self._clock = 0.0
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -326,11 +329,11 @@ class AdmissionServer:
         return self._sha.hexdigest() if self._sha is not None else None
 
     def checkpoint_digest(self) -> str:
-        """Digest of the decisions folded into the checkpoint so far.
+        """Digest of the decisions covered by the state checkpoint.
 
         Hex digest of every decision in journal entries ``[0,
-        journal_start)``; equals the empty-journal digest until the first
-        truncation.
+        checkpoint_offset)``; equals the empty-journal digest until the
+        first checkpoint past offset 0.
         """
         return self._ckpt_sha.hexdigest()
 
@@ -368,21 +371,23 @@ class AdmissionServer:
         return entries, (self.digest() if at_tip else None)
 
     def replay_from_checkpoint(self) -> str:
-        """Replay the retained tail on the checkpoint twin; returns digest.
+        """Restore the checkpoint, replay the journal tail; returns digest.
 
         Proves the bounded journal still reproduces the served digest:
-        the checkpoint twin (which already absorbed every truncated
-        entry) replays the retained tail starting from the checkpoint's
-        digest state.  **Destructive** -- the twin advances past the
-        checkpoint, so call this once, after the run being verified.
+        a gateway unpickled from the state checkpoint replays the
+        entries from ``checkpoint_offset`` on, starting from the
+        checkpoint's digest state.  The checkpoint itself is untouched,
+        so this may be called any number of times.
         """
-        if self._ckpt_gateway is None:
+        if self._ckpt_state is None:
             raise RuntimeStateError(
                 f"server {self.name} has no checkpoint "
                 "(journal_max_entries not configured)"
             )
+        tail = self.journal[self.checkpoint_offset - self.journal_start:]
         return replay_journal(
-            self._ckpt_gateway, self.journal or (), sha=self._ckpt_sha.copy()
+            load_gateway_state(self._ckpt_state), tail,
+            sha=self._ckpt_sha.copy(),
         )
 
     async def start_dispatcher(self) -> None:
@@ -748,30 +753,37 @@ class AdmissionServer:
     def _journal_append(self, op: str, flows, t: float) -> None:
         if self.journal is not None:
             self.journal.append((op, flows, t))
-            if (
-                self._journal_limit is not None
-                and len(self.journal) > self._journal_limit
-            ):
-                self._truncate_journal()
+            if self._journal_limit is not None:
+                self._bound_journal()
 
-    def _truncate_journal(self) -> None:
-        """Fold the oldest journal entries into the live checkpoint.
+    def _take_checkpoint(self) -> None:
+        """Checkpoint the gateway and the running digest at the journal tip.
 
-        Drops everything above the configured bound -- except entries at
-        or past ``retain_floor``, which a replication pump still needs to
-        ship -- applying each dropped entry to the checkpoint twin and
-        its running digest, so checkpoint + retained tail always replays
-        to the served digest.
+        Every op applies to the gateway and the digest before it is
+        journaled, so at the tip both describe exactly the first
+        ``journal_end()`` entries.
         """
-        excess = len(self.journal) - self._journal_limit
+        self._ckpt_state = dump_gateway_state(self.gateway)
+        self._ckpt_sha = self._sha.copy()
+        self.checkpoint_offset = self.journal_end()
+
+    def _bound_journal(self) -> None:
+        """Checkpoint every ``journal_max_entries`` entries; drop the rest.
+
+        The cadence depends only on the journal's growth, so a stuck
+        ``retain_floor`` (a dead follower) holds entries back but never
+        makes checkpoints more frequent.  Entries below both the
+        checkpoint and the floor are dropped: the checkpoint covers them
+        and no follower still needs them shipped.
+        """
+        if self.journal_end() - self.checkpoint_offset > self._journal_limit:
+            self._take_checkpoint()
+        floor = self.checkpoint_offset
         if self.retain_floor is not None:
-            excess = min(excess, self.retain_floor - self.journal_start)
-        if excess <= 0:
-            return
-        dropped = self.journal[:excess]
-        del self.journal[:excess]
-        self.journal_start += excess
-        _apply_journal(self._ckpt_gateway, dropped, self._ckpt_sha)
+            floor = min(floor, self.retain_floor)
+        if floor > self.journal_start:
+            del self.journal[:floor - self.journal_start]
+            self.journal_start = floor
 
     def _op_admit(self, request: dict) -> dict:
         flow = request["flow"]
@@ -858,6 +870,8 @@ class AdmissionServer:
             self.journal.append(entry)
             self._clock = max(self._clock, entry[2])
             applied += 1
+        if self._journal_limit is not None:
+            self._bound_journal()
         total = self.journal_end()
         digest = self.digest()
         want = request.get("digest")
@@ -878,11 +892,11 @@ class AdmissionServer:
     def _op_promote(self, request: dict) -> dict:
         """Flip a standby follower to active, verifying the rebuild first.
 
-        Verification replays the follower's retained journal on a fresh
-        ``gateway_factory()`` twin via :func:`replay_journal` and requires
-        the replayed digest to equal the running digest (skipped only
-        when truncation already folded a prefix into the checkpoint --
-        per-segment digest checks cover that case).  The optional
+        Verification restores the follower's state checkpoint, replays
+        only the journal tail past it (:meth:`replay_from_checkpoint`)
+        and requires the replayed digest to equal the running digest, so
+        promotion cost is bounded by ``journal_max_entries``, not by
+        uptime.  The optional
         ``flows`` table (``[[flow, t_admitted], ...]``) is the
         supervisor's authoritative flow set: flows the leader admitted
         but never shipped are installed (journaled ``migrate_in``),
@@ -893,9 +907,8 @@ class AdmissionServer:
             raise RuntimeStateError(f"shard {self.name} is already active")
         t = self._effective_time(request)
         verified = None
-        if request.get("verify", True) and self.journal_start == 0:
-            fresh = self._gateway_factory()
-            replayed = replay_journal(fresh, self.journal)
+        if request.get("verify", True):
+            replayed = self.replay_from_checkpoint()
             running = self.digest()
             if replayed != running:
                 raise RuntimeStateError(
@@ -1202,17 +1215,61 @@ def _push_telemetry(
     )
 
 
+# -- state checkpoints --------------------------------------------------------
+
+
+class _StatePickler(pickle.Pickler):
+    """Pickles a gateway's decision state, leaving observability out.
+
+    A :class:`DecisionTracer` (which holds an unpicklable ``hashlib``
+    object) or :class:`Profiler` attached to the gateway, its links or
+    its feeds is written as a reference that loads as ``None``: it
+    records decisions but never makes one.
+    """
+
+    def persistent_id(self, obj):
+        if isinstance(obj, (DecisionTracer, Profiler)):
+            return "detached"
+        return None
+
+
+class _StateUnpickler(pickle.Unpickler):
+    def persistent_load(self, pid):
+        return None
+
+
+def dump_gateway_state(gateway: AdmissionGateway) -> bytes:
+    """Serialize ``gateway``'s decision state (a state checkpoint).
+
+    Pickle, so a checkpoint may only be loaded by a process running the
+    same build of this package -- which a shard and its follower always
+    are.  Never load one from an untrusted source.
+    """
+    buffer = io.BytesIO()
+    _StatePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(gateway)
+    return buffer.getvalue()
+
+
+def load_gateway_state(state: bytes) -> AdmissionGateway:
+    """Rebuild a gateway from :func:`dump_gateway_state` output.
+
+    The copy decides exactly as the original did from the checkpoint on;
+    tracer and profiler are detached (``None``).
+    """
+    return _StateUnpickler(io.BytesIO(state)).load()
+
+
 # -- sequential re-execution --------------------------------------------------
 
 
 def _apply_journal(gateway, journal, sha) -> None:
     """Apply ``(op, flows, t)`` entries to ``gateway``, hashing decisions.
 
-    The one loop body shared by :func:`replay_journal`, the follower's
-    ``journal-sync`` handler and the leader's checkpoint truncation, so
-    every path that re-executes journal entries produces byte-identical
-    digest updates.  ``sha`` may be ``None`` (decisions are applied but
-    not hashed).
+    The one loop body shared by :func:`replay_journal` (hence checkpoint
+    replay) and the follower's ``journal-sync`` handler, so every path
+    that re-executes journal entries produces byte-identical digest
+    updates.  ``sha`` may be ``None`` (decisions are applied but not
+    hashed).
     """
     update = sha.update if sha is not None else None
     for op, flows, t in journal:
@@ -1280,9 +1337,9 @@ def replay_journal(
     re-execution indistinguishable.
 
     ``sha`` seeds the digest state: pass a checkpoint's running sha256
-    (``checkpoint.copy()``) together with the checkpoint twin gateway to
-    replay a truncated journal's retained tail -- the result is still the
-    full served digest.  Default (``None``) starts from scratch,
+    (``checkpoint.copy()``) together with the gateway restored from that
+    checkpoint to replay a truncated journal's tail -- the result is
+    still the full served digest.  Default (``None``) starts from scratch,
     byte-compatible with the historical behavior.
     """
     if sha is None:

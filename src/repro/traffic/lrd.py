@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.processes.fgn import fgn
 from repro.traffic.trace import Trace, TraceSource, rcbr_smooth
 
 __all__ = ["synthetic_video_trace", "starwars_like_source"]
@@ -66,6 +65,10 @@ def synthetic_video_trace(
         raise ParameterError("hurst must lie in [0.5, 1) for video-like LRD")
     if mean <= 0.0 or cv <= 0.0:
         raise ParameterError("mean and cv must be positive")
+    # Imported here: the process samplers are not on any decision path,
+    # and ``repro.traffic`` is imported by every shard process.
+    from repro.processes.fgn import fgn
+
     rng = rng if rng is not None else np.random.default_rng(0)
     g = fgn(n_segments, hurst, rng)
     if marginal == "clipped-gaussian":

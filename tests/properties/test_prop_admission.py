@@ -13,6 +13,7 @@ from repro.core.admission import (
     overflow_probability_for_count,
 )
 from repro.core.gaussian import q_function
+from repro.errors import ParameterError
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 sigmas = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -117,6 +118,36 @@ class TestCriterionObjectProperties:
         assert crit.slack(mu, sigma, n_current) == pytest.approx(
             count - n_current
         )
+
+    @given(
+        capacity=st.floats(min_value=1e-6, max_value=1e9),
+        alpha=st.floats(min_value=-40.0, max_value=40.0),
+        mu=st.floats(min_value=1e-9, max_value=1e6),
+        sigma=st.floats(min_value=0.0, max_value=1e6),
+    )
+    @settings(max_examples=500)
+    def test_scalar_path_is_bit_identical_to_the_array_form(
+        self, capacity, alpha, mu, sigma
+    ):
+        """The decision path's math-only eqn (42) equals the numpy form
+        bit for bit, conjugate-root regime included: golden decision
+        digests hash the target's repr."""
+        crit = AdmissionCriterion(capacity=capacity, alpha=alpha)
+        scalar = crit.admissible_count(mu, sigma)
+        array = admissible_flow_count_alpha(mu, sigma, capacity, alpha)
+        assert type(scalar) is float
+        assert repr(scalar) == repr(array)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, match",
+        [(0.0, 1.0, "mu"), (-1.0, 1.0, "mu"), (1.0, -0.5, "sigma")],
+    )
+    def test_scalar_path_raises_the_array_errors(self, mu, sigma, match):
+        crit = AdmissionCriterion(capacity=10.0, alpha=2.0)
+        with pytest.raises(ParameterError, match=match):
+            crit.admissible_count(mu, sigma)
+        with pytest.raises(ParameterError, match=match):
+            admissible_flow_count_alpha(mu, sigma, 10.0, 2.0)
 
     @given(capacity=positive, p=targets)
     @settings(max_examples=100)

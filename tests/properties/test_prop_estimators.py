@@ -36,6 +36,19 @@ class TestCrossSectionProperties:
         assert cs.variance >= 0.0
         assert cs.second_moment >= cs.mean**2 - 1e-9
 
+    @given(
+        rates=st.lists(
+            st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=400
+        )
+    )
+    def test_moments_are_bit_identical_to_ndarray_mean(self, rates):
+        """The bare ufunc reductions reproduce ``ndarray.mean`` exactly
+        (same pairwise sums), which the decision digests depend on."""
+        cs = cross_section(rates)
+        arr = np.asarray(rates, dtype=float)
+        assert cs.mean == float(arr.mean())
+        assert cs.second_moment == float(np.mean(arr * arr))
+
     @given(rates=rate_lists, shift=st.floats(min_value=0.0, max_value=50.0))
     def test_variance_shift_invariant(self, rates, shift):
         base = cross_section(rates).variance

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ParameterError, RemoteError
 from repro.runtime.faults import FaultPlan, FeedFaults
+from repro.service import server as server_module
 from repro.service.protocol import JOURNAL_OPS, make_request
 from repro.service.replication import (
     GatewaySpec,
@@ -143,6 +144,156 @@ class TestJournalBounding:
         assert floored_len == 100  # nothing truncated while unshipped
         assert acked_len == 30  # only the unacked tail survives truncation
         assert detached_len <= 16  # full bound once no follower holds a floor
+
+    def test_stuck_floor_keeps_the_checkpoint_cadence(self, monkeypatch):
+        """A floor that never advances (a dead follower) holds entries
+        back, but checkpoints still come once per bound, not per append."""
+        taken = []
+        dump = server_module.dump_gateway_state
+        monkeypatch.setattr(
+            server_module, "dump_gateway_state",
+            lambda gateway: taken.append(1) or dump(gateway),
+        )
+
+        async def scenario():
+            server = make_server(name="stuck", journal_max_entries=16)
+            server.retain_floor = 0
+            await server.start_dispatcher()
+            try:
+                await drive(server, 170, depart_every=0)
+                return (len(server.journal), server.checkpoint_offset,
+                        server.digest(), server.replay_from_checkpoint())
+            finally:
+                await server.stop()
+
+        kept, offset, served, replayed = run(scenario())
+        assert kept == 170  # nothing above the floor is dropped
+        assert offset == 170 // 17 * 17
+        assert len(taken) == 1 + 170 // 17  # construction + one per 17
+        assert served == replayed
+
+    def test_replay_from_checkpoint_is_repeatable(self):
+        async def scenario():
+            server = make_server(name="again", journal_max_entries=32)
+            await server.start_dispatcher()
+            try:
+                await drive(server, 100)
+                first = server.replay_from_checkpoint()
+                await drive(server, 20, rid=1)
+                return first, server.replay_from_checkpoint(), server.digest()
+            finally:
+                await server.stop()
+
+        first, second, served = run(scenario())
+        assert first != second == served
+
+    def test_checkpoint_leaves_observability_out(self):
+        """Tracer and profiler are not decision state: a checkpoint of a
+        traced, profiled gateway restores without them and decides as
+        the original does."""
+        from repro.runtime.observability import DecisionTracer, Profiler
+        from repro.service.server import (
+            digest_record,
+            dump_gateway_state,
+            load_gateway_state,
+        )
+
+        tracer, profiler = DecisionTracer(), Profiler()
+        live = SPEC.build()
+        live.tracer = tracer
+        live.profiler = profiler
+        for link in live.links:
+            link.tracer = tracer
+            link.profiler = profiler
+        for i in range(30):
+            live.admit(f"a{i}", 0.1 * i)
+        restored = load_gateway_state(dump_gateway_state(live))
+        assert restored.tracer is None and restored.profiler is None
+        assert all(link.tracer is None for link in restored.links)
+        assert live.tracer is tracer
+        later = [(f"b{i}", 3.0 + 0.1 * i) for i in range(30)]
+        assert [digest_record(f, live.admit(f, t)) for f, t in later] == [
+            digest_record(f, restored.admit(f, t)) for f, t in later
+        ]
+        assert tracer.decisions == 60
+
+
+class TestFollowerBounding:
+    """A bounded follower checkpoints too, so its memory stays flat, and
+    promotion stays verified by replaying only the tail."""
+
+    def test_follower_journal_flat_and_promotion_verified(self):
+        async def scenario():
+            leader = make_server(name="lead", journal_max_entries=64)
+            follower = make_server(
+                name="fol", standby=True, journal_max_entries=64
+            )
+            leader.retain_floor = 0
+            await leader.start_dispatcher()
+            await follower.start_dispatcher()
+            sizes = []
+            try:
+                synced, t = 0, 0.0
+                for rid in range(12):
+                    t = await drive(leader, 50, t0=t, rid=rid)
+                    entries, digest = leader.journal_segment(synced, 512)
+                    response = await follower.submit(req(
+                        "journal-sync", rid, shard="lead", seq=rid,
+                        start=synced, entries=[list(e) for e in entries],
+                        digest=digest,
+                    ))
+                    assert response["ok"], response
+                    synced = response["result"]["total"]
+                    leader.retain_floor = synced
+                    sizes.append(len(follower.journal))
+                table = [[flow, 0.0] for flow in leader.gateway.active_flows()]
+                promoted = await follower.submit(req(
+                    "promote", 99, flows=table, t=t,
+                ))
+                return (sizes, synced, follower.journal_start,
+                        promoted["result"], leader.digest())
+            finally:
+                await leader.stop()
+                await follower.stop()
+
+        sizes, shipped, start, result, leader_digest = run(scenario())
+        assert shipped > 8 * 64  # many times the bound went through
+        assert max(sizes) <= 64
+        assert start > 0  # the follower really truncated
+        assert result["verified"] is True
+        assert result["repaired_in"] == result["repaired_out"] == 0
+        assert result["digest"] == leader_digest
+
+    def test_tampered_tail_fails_promotion(self):
+        async def scenario():
+            leader = make_server(name="lead")
+            follower = make_server(
+                name="fol", standby=True, journal_max_entries=16
+            )
+            await leader.start_dispatcher()
+            await follower.start_dispatcher()
+            try:
+                t = await drive(leader, 40, depart_every=0)
+                await drive(leader, 10, t0=t, depart_every=0, rid=1)
+                for seq, start in enumerate((0, 40)):
+                    entries, digest = leader.journal_segment(start, 40)
+                    await follower.submit(req(
+                        "journal-sync", seq, shard="lead", seq=seq,
+                        start=start, entries=[list(e) for e in entries],
+                        digest=digest,
+                    ))
+                # The checkpoint covers the first segment; forge the tail.
+                assert follower.checkpoint_offset == 40
+                op, flows, t = follower.journal[-1]
+                follower.journal[-1] = (op, flows + "-forged", t)
+                return (await follower.submit(req("promote", 2)))["error"]
+            finally:
+                await leader.stop()
+                await follower.stop()
+
+        error = run(scenario())
+        assert error["code"] == "state-error"
+        assert "verification failed" in error["message"]
 
 
 class TestStandby:
@@ -456,6 +607,44 @@ class TestProcessCluster:
         promoted = [e for e in events if e["event"] == "promoted"]
         assert len(promoted) == 1 and promoted[0]["verified"] is True
         assert promoted[0]["digest"] is not None
+
+    def test_followers_are_bounded_and_promote_verified(self):
+        """Followers get the leader's journal bound: after many times the
+        bound has been shipped, the follower's journal is truncated and
+        its promotion is still verified by checkpoint + tail replay."""
+        from repro.service.client import AsyncAdmissionClient
+
+        async def scenario():
+            async with ProcessCluster(
+                SPEC, shards=1, replicas=1, journal_max_entries=32,
+            ) as cluster:
+                t, admitted = 0.0, []
+                for i in range(300):
+                    t += 0.05
+                    if (await cluster.admit(f"f{i}", t)).admitted:
+                        admitted.append(f"f{i}")
+                    if i % 2 and admitted:
+                        t += 0.01
+                        await cluster.depart(admitted.pop(0), t)
+                await asyncio.sleep(0.5)  # let the pump drain
+                name = cluster.shards[0]
+                follower = cluster._followers[name]
+                client = AsyncAdmissionClient(*follower.address, timeout=10.0)
+                try:
+                    service = (await client.snapshot())["service"]
+                finally:
+                    await client.close()
+                cluster.kill_shard(name)
+                t += 0.05
+                await cluster.admit("after-kill", t)
+                return service, list(cluster.events), await cluster.reconcile()
+
+        service, events, reconcile = run(scenario())
+        assert service["journal_start"] > 0
+        assert service["journal_entries"] <= 32
+        promoted = [e for e in events if e["event"] == "promoted"]
+        assert len(promoted) == 1 and promoted[0]["verified"] is True
+        assert reconcile["ok"], reconcile
 
     def test_ring_resize_migrates_with_reconciliation(self):
         async def scenario():
