@@ -7,12 +7,14 @@ the inverse tail ``Q^{-1}``.  This module is the single source of truth for
 those functions so every other module agrees on conventions.
 
 Everything accepts scalars or numpy arrays and returns matching shapes.
+``scipy.special`` is imported inside the functions that use it: a cluster
+shard imports this module but only evaluates eqn (42), so it never loads
+scipy (``tests/test_import_graph.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.errors import ParameterError
 
@@ -52,6 +54,8 @@ def q_function(x):
     ``Q(x) = P(N(0,1) > x)``.  Implemented via :func:`scipy.special.erfc`
     which stays accurate far into the tail (``Q(40) ~ 1e-350``).
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(x / _SQRT2)
     return out if out.ndim else float(out)
@@ -64,6 +68,8 @@ def log_q_function(x):
     logarithm stops being meaningful, so we switch to ``log(erfcx)`` which
     factors out the ``exp(-x^2/2)`` decay analytically.
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     # erfc(z) = erfcx(z) * exp(-z^2) with z = x / sqrt(2)
     z = x / _SQRT2
@@ -82,6 +88,8 @@ def q_inverse(p):
     ParameterError
         If any ``p`` lies outside the open interval (0, 1).
     """
+    from scipy import special
+
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterError(f"q_inverse requires 0 < p < 1, got {p!r}")

@@ -29,10 +29,14 @@ Failure model
   cluster-wide reconciliation (:meth:`ProcessCluster.reconcile`)
   proves every decision is accounted for exactly once.
 
-Determinism: a :class:`GatewaySpec` is a picklable recipe that builds
-*identical twin* gateways in any process, which is what makes the
-follower's replayed digest comparable to the leader's in the first
-place.
+Determinism: the supervisor builds each pair's gateway once from a
+:class:`GatewaySpec` and hands the leader and the follower the same
+state checkpoint (:func:`~repro.service.server.dump_gateway_state`), so
+the two start as *identical twins* -- which is what makes the follower's
+replayed digest comparable to the leader's in the first place.  The
+design step (inverting the overflow theory for the adjusted target)
+runs in the supervisor; a shard process only loads the checkpoint and
+never imports scipy.
 """
 
 from __future__ import annotations
@@ -56,7 +60,12 @@ from repro.errors import (
 from repro.service.client import AsyncAdmissionClient
 from repro.service.cluster import DEFAULT_VNODES, HashRing
 from repro.service.protocol import decision_from_wire
-from repro.service.server import AdmissionServer, ServerConfig
+from repro.service.server import (
+    AdmissionServer,
+    ServerConfig,
+    dump_gateway_state,
+    load_gateway_state,
+)
 
 __all__ = [
     "GatewaySpec",
@@ -73,11 +82,14 @@ _SHARD_DOWN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
 
 @dataclass(frozen=True)
 class GatewaySpec:
-    """Picklable recipe for building deterministic twin gateways.
+    """Recipe for building deterministic twin gateways.
 
     Two ``build()`` calls (in any process) construct gateways that decide
     identically for identical op sequences -- the property every digest
-    comparison in the replication plane rests on.
+    comparison in the replication plane rests on.  :class:`ProcessCluster`
+    calls ``build()`` in the supervisor only, once per leader+follower
+    pair, and ships the result to both shard processes as one state
+    checkpoint; the spec itself never reaches a shard.
 
     Kinds
     -----
@@ -272,7 +284,7 @@ async def _replication_pump(
 
 def _shard_main(
     name: str,
-    spec: GatewaySpec,
+    state: bytes,
     host: str,
     conn,
     standby: bool,
@@ -283,14 +295,16 @@ def _shard_main(
 ) -> None:
     """Child-process entry point: one shard, one event loop, one core.
 
-    Builds the gateway from ``spec``, serves on an ephemeral port,
-    reports the bound address through ``conn``, and (leaders with a
-    follower) runs the replication pump.  SIGTERM drains and exits
-    cleanly; SIGKILL is the crash the failover path exists for.
+    Loads the gateway from ``state``, the state checkpoint the supervisor
+    built from its :class:`GatewaySpec` (the pair's other half loads the
+    same bytes), serves on an ephemeral port, reports the bound address
+    through ``conn``, and (leaders with a follower) runs the replication
+    pump.  SIGTERM drains and exits cleanly; SIGKILL is the crash the
+    failover path exists for.  The shard also drains and exits when its
+    supervisor dies, so no orphan keeps serving on its port.
     """
-    gateway = spec.build()
     server = AdmissionServer(
-        gateway,
+        load_gateway_state(state),
         name=name,
         config=ServerConfig(max_queue_depth=8192),
         collect_digest=True,
@@ -307,6 +321,10 @@ def _shard_main(
         stop = asyncio.Event()
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, stop.set)
+        # The parent's sentinel turns readable when the supervisor exits,
+        # however it dies.
+        supervisor = multiprocessing.parent_process().sentinel
+        loop.add_reader(supervisor, stop.set)
         bound = await server.start(host, 0)
         conn.send(bound)
         conn.close()
@@ -317,6 +335,7 @@ def _shard_main(
                 interval=sync_interval, batch=sync_batch,
             ))
         await stop.wait()
+        loop.remove_reader(supervisor)
         if pump is not None:
             pump.cancel()
             try:
@@ -362,9 +381,9 @@ class ProcessCluster:
     Parameters
     ----------
     spec : GatewaySpec
-        Twin-gateway recipe; shard ``i`` is built with ``seed + i`` (its
-        follower with the *same* seed, so leader and follower decide
-        identically).
+        Twin-gateway recipe.  The supervisor builds shard ``i``'s gateway
+        with ``seed + i`` and checkpoints it; its leader and follower
+        load the *same* bytes, so they decide identically.
     shards : int
         Leader count (ring size).
     replicas : int
@@ -457,13 +476,13 @@ class ProcessCluster:
         if self._started:
             return self
         names = [f"s{i}" for i in range(self._initial_shards)]
-        seeds = {name: self._next_seed() for name in names}
+        states = {name: self._next_state() for name in names}
         # Spawn all followers concurrently, then all leaders (a leader
         # needs its follower's address for the pump).
         followers: dict[str, ShardProcess | None] = {}
         if self.replicas:
             launches = {
-                name: self._launch(name, seed=seeds[name], standby=True)
+                name: self._launch(name, state=states[name], standby=True)
                 for name in names
             }
             for name, (proc, conn) in launches.items():
@@ -474,7 +493,7 @@ class ProcessCluster:
         launches = {
             name: self._launch(
                 name,
-                seed=seeds[name],
+                state=states[name],
                 standby=False,
                 follower_addr=(
                     followers[name].address if followers[name] else None
@@ -522,32 +541,31 @@ class ProcessCluster:
     async def __aexit__(self, *exc) -> None:
         await self.stop()
 
-    def _next_seed(self) -> int:
-        """Allocate a fresh seed for one leader+follower pair.
+    def _next_state(self) -> bytes:
+        """Build a new leader+follower pair's gateway as a state checkpoint.
 
-        Both halves of a pair build from the SAME seed (that is what
-        makes them decision twins); distinct pairs get distinct seeds so
-        their feeds are decorrelated.
+        Both halves of a pair load these SAME bytes (that is what makes
+        them decision twins); distinct pairs get distinct seeds so their
+        feeds are decorrelated.
         """
         seed = self.spec.seed + self._spawned
         self._spawned += 1
-        return seed
+        return dump_gateway_state(self.spec.with_seed(seed).build())
 
     def _launch(
         self,
         name: str,
         *,
-        seed: int,
+        state: bytes,
         standby: bool,
         follower_addr: tuple[str, int] | None = None,
     ):
-        spec = self.spec.with_seed(seed)
         parent, child = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_main,
             args=(
                 name,
-                spec,
+                state,
                 self.host,
                 child,
                 standby,
@@ -566,16 +584,16 @@ class ProcessCluster:
     async def _spawn_pair(
         self, name: str
     ) -> tuple[ShardProcess, ShardProcess | None]:
-        """Spawn one leader(+follower) pair sharing a fresh seed."""
-        seed = self._next_seed()
+        """Spawn one leader(+follower) pair from one fresh checkpoint."""
+        state = self._next_state()
         follower = None
         if self.replicas:
-            proc, conn = self._launch(name, seed=seed, standby=True)
+            proc, conn = self._launch(name, state=state, standby=True)
             addr = await self._recv_address(name, proc, conn)
             follower = ShardProcess(name, "follower", proc, addr)
         proc, conn = self._launch(
             name,
-            seed=seed,
+            state=state,
             standby=False,
             follower_addr=follower.address if follower else None,
         )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg
 
 from repro.errors import ParameterError
 from repro.traffic.base import FlowProcess, TrafficSource
@@ -142,6 +141,8 @@ class MarkovFluidSource(TrafficSource):
 
     def autocorrelation(self, t):
         """Exact stationary autocorrelation via the matrix exponential."""
+        from scipy import linalg
+
         if self._var == 0.0:
             raise ParameterError("constant-rate source has no autocorrelation")
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))

@@ -5,9 +5,18 @@ multi-process cluster supervisor."""
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ParameterError, RemoteError
 from repro.runtime.faults import FaultPlan, FeedFaults
 from repro.service import server as server_module
@@ -17,7 +26,7 @@ from repro.service.replication import (
     ProcessCluster,
     process_fault_schedule,
 )
-from repro.service.server import AdmissionServer, replay_journal
+from repro.service.server import AdmissionServer, digest_record, replay_journal
 
 from .conftest import run
 
@@ -646,6 +655,64 @@ class TestProcessCluster:
         assert len(promoted) == 1 and promoted[0]["verified"] is True
         assert reconcile["ok"], reconcile
 
+    def test_rcbr_shards_decide_as_the_spec_builds_in_process(self):
+        """The supervisor runs the rcbr recipe's theory inversion and ships
+        the result: a shard booted from that checkpoint decides exactly as
+        ``spec.with_seed(seed).build()`` does in this process, and its
+        follower, booted from the same bytes, promotes verified."""
+        from repro.service.client import AsyncAdmissionClient
+
+        spec = GatewaySpec(kind="rcbr", links=2, n=20, holding_time=50,
+                           seed=5)
+        ops = []
+
+        async def scenario():
+            async with ProcessCluster(
+                spec, shards=1, replicas=1, journal_max_entries=64,
+            ) as cluster:
+                name = cluster.shards[0]
+                t, admitted = 0.0, []
+                for i in range(240):
+                    t += 0.25
+                    ops.append(("admit", f"f{i}", t))
+                    if (await cluster.admit(f"f{i}", t)).admitted:
+                        admitted.append(f"f{i}")
+                    if i % 3 == 2 and admitted:
+                        t += 0.05
+                        ops.append(("depart", admitted[0], t))
+                        await cluster.depart(admitted.pop(0), t)
+                served = (await cluster.reconcile())["shards"][name]["digest"]
+                follower = cluster._followers[name]
+                client = AsyncAdmissionClient(*follower.address, timeout=10.0)
+                try:
+                    deadline = time.monotonic() + 10.0
+                    while time.monotonic() < deadline:
+                        snap = await client.snapshot()
+                        if snap["service"]["decision_digest"] == served:
+                            break
+                        await asyncio.sleep(0.05)
+                finally:
+                    await client.close()
+                cluster.kill_shard(name)
+                t += 0.25
+                await cluster.admit("after-kill", t)
+                return served, list(cluster.events), await cluster.reconcile()
+
+        served, events, reconcile = run(scenario())
+        assert served == replay_journal(spec.with_seed(5).build(), ops)
+        # The seed reaches the feeds: another seed decides differently.
+        other, sha = spec.with_seed(6).build(), hashlib.sha256()
+        for op, flow, t in ops:
+            if op == "admit":
+                sha.update(digest_record(flow, other.admit(flow, t)))
+            elif other.link_of(flow) is not None:
+                other.depart(flow, t)
+        assert served != sha.hexdigest()
+        promoted = [e for e in events if e["event"] == "promoted"]
+        assert len(promoted) == 1 and promoted[0]["verified"] is True
+        assert promoted[0]["digest"] == served
+        assert reconcile["ok"], reconcile
+
     def test_ring_resize_migrates_with_reconciliation(self):
         async def scenario():
             async with ProcessCluster(
@@ -667,6 +734,78 @@ class TestProcessCluster:
         assert removed == added  # everything it gained moves back off
         assert final["ok"], final
         assert migrated == added + removed
+
+
+#: Starts a one-shard replicated cluster, writes its shard pids to
+#: ``argv[1]`` and idles until killed.
+HOLD_A_CLUSTER = """
+import asyncio, json, multiprocessing, os, sys
+from repro.service.replication import GatewaySpec, ProcessCluster
+
+
+async def main():
+    await ProcessCluster(GatewaySpec(), shards=1, replicas=1).start()
+    pids = [child.pid for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")]
+    with open(sys.argv[1] + ".tmp", "w") as fh:
+        json.dump(pids, fh)
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    await asyncio.sleep(3600)
+
+
+asyncio.run(main())
+"""
+
+
+def _shard_running(pid: int) -> bool:
+    """Whether ``pid`` is a live shard process (not a zombie, not reused)."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            cmdline = fh.read()
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return b"spawn_main" in cmdline and state != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_shards_exit_when_the_supervisor_is_killed(tmp_path):
+    """A SIGKILLed supervisor runs no cleanup, so its shard processes must
+    notice on their own and exit rather than keep serving as orphans."""
+    out = tmp_path / "pids.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parent.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", HOLD_A_CLUSTER, str(out)], env=env,
+    )
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not out.exists():
+            assert supervisor.poll() is None, "supervisor died during start"
+            assert time.monotonic() < deadline, "cluster did not start"
+            time.sleep(0.05)
+        pids = json.loads(out.read_text())
+        assert len(pids) == 2 and all(_shard_running(p) for p in pids)
+        supervisor.kill()
+        supervisor.wait(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        while (any(_shard_running(p) for p in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert [p for p in pids if _shard_running(p)] == []
+    finally:
+        if supervisor.poll() is None:
+            supervisor.kill()
+            supervisor.wait(timeout=10.0)
+        for pid in pids:
+            if _shard_running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestClusterLoadgen:
