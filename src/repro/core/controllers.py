@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-import numpy as np
-
-from repro.core.admission import AdmissionCriterion, admissible_flow_count_alpha
+from repro.core.admission import AdmissionCriterion
 from repro.core.estimators import BandwidthEstimate
 from repro.errors import ParameterError
 
@@ -66,39 +64,6 @@ class AdmissionController(ABC):
         target = self.target_count(estimate, n_current)
         return max(0, int(math.floor(target)) - n_current)
 
-    def target_count_batch(self, mu, sigma, n_current) -> np.ndarray:
-        """Vectorized :meth:`target_count` over arrays of estimates.
-
-        Parameters
-        ----------
-        mu, sigma : array_like
-            Per-flow mean / standard-deviation estimates (broadcast
-            against each other and against ``n_current``).
-        n_current : array_like
-            Occupancies the targets are evaluated at.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``target_count(BandwidthEstimate(mu_i, sigma_i, n_i), n_i)``
-            element-wise.  The base implementation loops; controllers with
-            closed-form criteria override it with true array arithmetic
-            (the batched admission hot path relies on that).
-        """
-        mu, sigma, n_current = np.broadcast_arrays(
-            np.asarray(mu, dtype=float),
-            np.asarray(sigma, dtype=float),
-            np.asarray(n_current),
-        )
-        out = np.empty(mu.shape, dtype=float)
-        flat = out.reshape(-1)
-        for i, (m, s, n) in enumerate(
-            zip(mu.reshape(-1), sigma.reshape(-1), n_current.reshape(-1))
-        ):
-            estimate = BandwidthEstimate(mu=float(m), sigma=float(s), n=int(n))
-            flat[i] = self.target_count(estimate, int(n))
-        return out
-
 
 class PerfectKnowledgeController(AdmissionController):
     """The paper's perfect-knowledge admission controller (eqn (4)).
@@ -125,12 +90,6 @@ class PerfectKnowledgeController(AdmissionController):
 
     def target_count(self, estimate: BandwidthEstimate, n_current: int) -> float:
         return self._m_star
-
-    def target_count_batch(self, mu, sigma, n_current) -> np.ndarray:
-        shape = np.broadcast_shapes(
-            np.shape(mu), np.shape(sigma), np.shape(n_current)
-        )
-        return np.full(shape, self._m_star, dtype=float)
 
 
 class CertaintyEquivalentController(AdmissionController):
@@ -190,23 +149,6 @@ class CertaintyEquivalentController(AdmissionController):
             return float(n_current)
         sigma = max(estimate.sigma, self.min_sigma)
         return self.criterion.admissible_count(mu, sigma)
-
-    def target_count_batch(self, mu, sigma, n_current) -> np.ndarray:
-        mu, sigma, n_current = np.broadcast_arrays(
-            np.asarray(mu, dtype=float),
-            np.asarray(sigma, dtype=float),
-            np.asarray(n_current, dtype=float),
-        )
-        # Mirror target_count element-wise: non-positive mean estimates are
-        # maximally conservative (target = current occupancy).
-        out = n_current.astype(float).copy()
-        positive = mu > 0.0
-        if np.any(positive):
-            clamped = np.maximum(sigma[positive], self.min_sigma)
-            out[positive] = admissible_flow_count_alpha(
-                mu[positive], clamped, self.criterion.capacity, self.criterion.alpha
-            )
-        return out
 
     @classmethod
     def with_adjusted_target(

@@ -37,8 +37,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.controllers import (
     AdmissionController,
     CertaintyEquivalentController,
@@ -546,6 +544,12 @@ class ManagedLink:
             }
         return report
 
+    def _class_occupancy(self, flow_class: str | None) -> int | None:
+        """Occupancy of the class a request is decided in (None: pooled)."""
+        if flow_class is None or self.class_bank is None:
+            return None
+        return self._class_n[self.class_bank.class_id(str(flow_class))]
+
     def _current_estimate(self) -> BandwidthEstimate | None:
         helper = getattr(self.estimator, "estimate_or_none", None)
         if helper is not None:
@@ -775,6 +779,105 @@ class ManagedLink:
 
     # -- request path ------------------------------------------------------
 
+    def _decide(
+        self, k: int, now: float, flow_class: str | None
+    ) -> list[AdmissionDecision]:
+        """Decide ``k >= 1`` simultaneous arrivals at ``now``.
+
+        The link's one decision routine.  It ticks once and picks the
+        deciding view once: the flow's class on a multi-class link (the
+        class's filtered estimate, occupancy and capacity-share
+        controller), else the pooled link -- classless is the implicit
+        single class, so a classless request on a classed link and a
+        classed request on a classless link are both decided pooled.  It
+        then walks the requests with the scalar eqn-(42) target and stops
+        at the first rejection: occupancy, estimate and health are frozen
+        at this instant, so every later request gets that same rejection.
+        The decisions are those of ``k`` sequential single decisions at
+        ``now`` -- an accept-prefix followed by rejects -- for at most
+        ``accepted + 1`` target evaluations.  Returns the decisions in
+        request order.
+        """
+        bank = self.class_bank
+        class_id = None
+        if flow_class is not None and bank is not None:
+            class_id = bank.class_id(str(flow_class))  # unknown: no state change
+        self.tick(now)
+        health = self._health
+        degraded = health is not LinkHealth.HEALTHY
+        if class_id is None:
+            n_k = self._n
+            controller = (
+                self.conservative_controller if degraded else self.controller
+            )
+        else:
+            n_k = self._class_n.get(class_id, 0)
+            controller = bank.controller(class_id, conservative=degraded)
+        profiler = self.profiler
+        if profiler is not None:
+            e0 = time.perf_counter_ns()
+        if class_id is not None and self._class_estimate is not None:
+            estimate = self._class_estimate(class_id)
+        else:
+            estimate = self._current_estimate()
+        if profiler is not None:
+            profiler.estimator_read.observe(time.perf_counter_ns() - e0)
+        if estimate is None:
+            mu_hat = sigma_hat = math.nan
+        else:
+            mu_hat, sigma_hat = estimate.mu, estimate.sigma
+
+        name = self.name
+        state = health.value
+        n = self._n
+        decisions: list[AdmissionDecision] = []
+        for _ in range(k):
+            if health is LinkHealth.QUARANTINED:
+                # Fail closed: no new admissions on an untrusted feed.
+                admitted, reason, target = False, "quarantined", math.nan
+            elif estimate is None or (estimate.mu <= 0.0 and n_k == 0):
+                # Nothing measurable yet.  A healthy empty link bootstraps
+                # (the offline engines do the same: a zero estimate would
+                # freeze admission forever); a degraded link refuses blind
+                # admission.
+                admitted = not degraded and n_k == 0
+                reason = "bootstrap" if admitted else "no-measurement"
+                target = math.nan
+            else:
+                target = controller.target_count(estimate, n_k)
+                admitted = n_k + 1 <= math.floor(target)
+                reason = "conservative-target" if degraded else "target"
+            if admitted:
+                n += 1
+                n_k += 1
+            # Positional: keywords cost ~0.45 us more per decision.
+            decision = AdmissionDecision(
+                admitted, name, reason, float(target), n, degraded, state,
+                mu_hat, sigma_hat,
+            )
+            decisions.append(decision)
+            if not admitted:
+                break
+        if len(decisions) < k:
+            # Nothing moves after a rejection: the rest repeat it.
+            decisions += [decision] * (k - len(decisions))
+
+        accepted = n - self._n
+        self._n = n
+        if accepted:
+            self._m_admits.inc(accepted)
+        if accepted < k:
+            self._m_rejects.inc(k - accepted)
+        self._m_n.set(n)
+        if class_id is not None:
+            self._class_n[class_id] = n_k
+            gauge = self._m_class_n.get(class_id)
+            if gauge is not None:
+                gauge.set(n_k)
+        if not math.isnan(target):
+            self._m_target.set(target)
+        return decisions
+
     def admit(self, now: float, flow_class: str | None = None) -> AdmissionDecision:
         """Decide one flow-arrival request at time ``now``.
 
@@ -784,165 +887,45 @@ class ManagedLink:
         decided against the pooled criterion -- when the link carries no
         class bank, so classed peers interoperate with classless links.
         """
-        if flow_class is not None and self.class_bank is not None:
-            return self._admit_classed(now, str(flow_class))
         t0 = time.perf_counter()
         profiler = self.profiler
         if profiler is not None:
             p0 = time.perf_counter_ns()
-        self.tick(now)
-        health = self._health
-        degraded = health is not LinkHealth.HEALTHY
-        if profiler is not None:
-            e0 = time.perf_counter_ns()
-        estimate = self._current_estimate()
-        if profiler is not None:
-            profiler.estimator_read.observe(time.perf_counter_ns() - e0)
-        mu_hat = estimate.mu if estimate is not None else math.nan
-        sigma_hat = estimate.sigma if estimate is not None else math.nan
-
-        if health is LinkHealth.QUARANTINED:
-            # Fail closed: no new admissions on an untrusted feed.
-            admitted, reason, target = False, "quarantined", math.nan
-        elif estimate is None or (estimate.mu <= 0.0 and self._n == 0):
-            # Nothing measurable yet.  A healthy empty link bootstraps (the
-            # offline engines do the same: a zero estimate would freeze
-            # admission forever); a degraded link refuses blind admission.
-            if not degraded and self._n == 0:
-                admitted, reason, target = True, "bootstrap", math.nan
-            else:
-                admitted, reason, target = False, "no-measurement", math.nan
-        else:
-            controller = (
-                self.conservative_controller if degraded else self.controller
-            )
-            target = controller.target_count(estimate, self._n)
-            admitted = self._n + 1 <= math.floor(target)
-            reason = "conservative-target" if degraded else "target"
-
-        if admitted:
-            self._n += 1
-            self._m_admits.inc()
-        else:
-            self._m_rejects.inc()
-        self._m_n.set(self._n)
-        if not math.isnan(target):
-            self._m_target.set(target)
+        decision = self._decide(1, now, flow_class)[0]
         self._m_latency.observe(time.perf_counter() - t0)
         if profiler is not None:
             profiler.admit.observe(time.perf_counter_ns() - p0)
-        logger.debug(
-            "link %s admit(t=%.6g): %s (%s, target=%.6g, n=%d, health=%s)",
-            self.name, now, "accept" if admitted else "reject",
-            reason, target, self._n, health.value,
-        )
-        return AdmissionDecision(
-            admitted=admitted,
-            link=self.name,
-            reason=reason,
-            target=float(target),
-            n_flows=self._n,
-            degraded=degraded,
-            health=health.value,
-            mu_hat=mu_hat,
-            sigma_hat=sigma_hat,
-        )
-
-    def _admit_classed(self, now: float, flow_class: str) -> AdmissionDecision:
-        """Decide one classed arrival against the class's own criterion.
-
-        Mirrors :meth:`admit` decision-for-decision (same reason strings,
-        same bootstrap semantics) with the class's filtered estimate, its
-        occupancy and its capacity-share controller in place of the
-        pooled ones.  A link carrying a single class with an unadjusted
-        policy therefore produces byte-identical decisions to a classless
-        link (the differential-digest guarantee).
-        """
-        bank = self.class_bank
-        class_id = bank.class_id(flow_class)  # unknown class: no state change
-        t0 = time.perf_counter()
-        profiler = self.profiler
-        if profiler is not None:
-            p0 = time.perf_counter_ns()
-        self.tick(now)
-        health = self._health
-        degraded = health is not LinkHealth.HEALTHY
-        if profiler is not None:
-            e0 = time.perf_counter_ns()
-        if self._class_estimate is not None:
-            estimate = self._class_estimate(class_id)
-        else:
-            estimate = self._current_estimate()
-        if profiler is not None:
-            profiler.estimator_read.observe(time.perf_counter_ns() - e0)
-        mu_hat = estimate.mu if estimate is not None else math.nan
-        sigma_hat = estimate.sigma if estimate is not None else math.nan
-        n_k = self._class_n.get(class_id, 0)
-
-        if health is LinkHealth.QUARANTINED:
-            admitted, reason, target = False, "quarantined", math.nan
-        elif estimate is None or (estimate.mu <= 0.0 and n_k == 0):
-            if not degraded and n_k == 0:
-                admitted, reason, target = True, "bootstrap", math.nan
+        if logger.isEnabledFor(logging.DEBUG):
+            verdict = "accept" if decision.admitted else "reject"
+            n_k = self._class_occupancy(flow_class)
+            if n_k is None:
+                logger.debug(
+                    "link %s admit(t=%.6g): %s (%s, target=%.6g, n=%d, "
+                    "health=%s)",
+                    self.name, now, verdict, decision.reason,
+                    decision.target, self._n, decision.health,
+                )
             else:
-                admitted, reason, target = False, "no-measurement", math.nan
-        else:
-            controller = bank.controller(class_id, conservative=degraded)
-            target = controller.target_count(estimate, n_k)
-            admitted = n_k + 1 <= math.floor(target)
-            reason = "conservative-target" if degraded else "target"
-
-        if admitted:
-            self._n += 1
-            self._class_n[class_id] = n_k + 1
-            self._m_admits.inc()
-        else:
-            self._m_rejects.inc()
-        self._m_n.set(self._n)
-        gauge = self._m_class_n.get(class_id)
-        if gauge is not None:
-            gauge.set(self._class_n.get(class_id, 0))
-        if not math.isnan(target):
-            self._m_target.set(target)
-        self._m_latency.observe(time.perf_counter() - t0)
-        if profiler is not None:
-            profiler.admit.observe(time.perf_counter_ns() - p0)
-        logger.debug(
-            "link %s admit(t=%.6g, class=%s): %s (%s, target=%.6g, "
-            "n_k=%d, n=%d, health=%s)",
-            self.name, now, flow_class, "accept" if admitted else "reject",
-            reason, target, self._class_n.get(class_id, 0), self._n,
-            health.value,
-        )
-        return AdmissionDecision(
-            admitted=admitted,
-            link=self.name,
-            reason=reason,
-            target=float(target),
-            n_flows=self._n,
-            degraded=degraded,
-            health=health.value,
-            mu_hat=mu_hat,
-            sigma_hat=sigma_hat,
-        )
+                logger.debug(
+                    "link %s admit(t=%.6g, class=%s): %s (%s, target=%.6g, "
+                    "n_k=%d, n=%d, health=%s)",
+                    self.name, now, flow_class, verdict, decision.reason,
+                    decision.target, n_k, self._n, decision.health,
+                )
+        return decision
 
     def admit_many(
         self, k: int, now: float, flow_class: str | None = None
     ) -> list[AdmissionDecision]:
         """Decide a burst of ``k`` simultaneous flow-arrival requests.
 
-        Semantically identical to ``k`` sequential :meth:`admit` calls at
-        the same timestamp (same decisions, same counter increments, same
-        final occupancy -- enforced by a differential test), but the burst
-        pays for one clock tick, one estimator read, one vectorized
-        controller evaluation (:meth:`AdmissionController.target_count_batch`)
-        and one metrics flush instead of ``k`` of each.
-
-        Returns the per-request decisions in request order.  Because the
-        estimate is frozen for the burst and targets are non-increasing in
-        nothing the burst changes, the decision sequence is always an
-        accept-prefix followed by rejects, exactly as sequential calls at
-        one instant would produce.
+        Identical to ``k`` sequential :meth:`admit` calls at the same
+        timestamp (same decisions, same counter increments, same final
+        occupancy -- enforced by differential tests), but the burst pays
+        for one clock tick, one estimator read and one metrics flush
+        instead of ``k`` of each, and evaluates the target only until the
+        first rejection.  Returns the decisions in request order: an
+        accept-prefix followed by rejects.
 
         ``flow_class`` applies the same classed routing as :meth:`admit`
         to the whole burst (one class per burst; mixed-class arrivals are
@@ -953,269 +936,32 @@ class ManagedLink:
             raise ParameterError("burst size k must be non-negative")
         if k == 0:
             return []
-        if flow_class is not None and self.class_bank is not None:
-            return self._admit_many_classed(k, now, str(flow_class))
         t0 = time.perf_counter()
         profiler = self.profiler
         if profiler is not None:
             p0 = time.perf_counter_ns()
-        self.tick(now)
-        health = self._health
-        degraded = health is not LinkHealth.HEALTHY
-        if profiler is not None:
-            e0 = time.perf_counter_ns()
-        estimate = self._current_estimate()
-        if profiler is not None:
-            profiler.estimator_read.observe(time.perf_counter_ns() - e0)
-        mu_hat = estimate.mu if estimate is not None else math.nan
-        sigma_hat = estimate.sigma if estimate is not None else math.nan
-
-        decisions: list[AdmissionDecision] = []
-        name = self.name
-        n = self._n
-        remaining = k
-
-        if health is LinkHealth.QUARANTINED:
-            # The whole burst fails closed, exactly as k sequential calls.
-            reject = AdmissionDecision(
-                admitted=False,
-                link=name,
-                reason="quarantined",
-                target=math.nan,
-                n_flows=n,
-                degraded=degraded,
-                health=health.value,
-                mu_hat=mu_hat,
-                sigma_hat=sigma_hat,
-            )
-            decisions.extend([reject] * remaining)
-            remaining = 0
-
-        # Peel the no-measurement / bootstrap prefix exactly as admit() would:
-        # a healthy empty link bootstraps its first flow; a degraded (or
-        # already-bootstrapped) link without a usable estimate rejects.
-        while remaining > 0 and (
-            estimate is None or (estimate.mu <= 0.0 and n == 0)
-        ):
-            if not degraded and n == 0:
-                admitted, reason = True, "bootstrap"
-                n += 1
-            else:
-                admitted, reason = False, "no-measurement"
-            decisions.append(
-                AdmissionDecision(
-                    admitted=admitted,
-                    link=name,
-                    reason=reason,
-                    target=math.nan,
-                    n_flows=n,
-                    degraded=degraded,
-                    health=health.value,
-                    mu_hat=mu_hat,
-                    sigma_hat=sigma_hat,
-                )
-            )
-            remaining -= 1
-
-        last_target = math.nan
-        if remaining > 0:
-            controller = (
-                self.conservative_controller if degraded else self.controller
-            )
-            reason = "conservative-target" if degraded else "target"
-            # Occupancies along the all-accepted path; once one request is
-            # rejected the occupancy (and hence the target) freezes, so every
-            # later request is rejected at the same target.
-            occupancies = n + np.arange(remaining)
-            targets = controller.target_count_batch(
-                estimate.mu, estimate.sigma, occupancies
-            )
-            ok = occupancies + 1 <= np.floor(targets)
-            accepted = int(ok.argmin()) if not ok.all() else remaining
-            for i in range(accepted):
-                n += 1
-                decisions.append(
-                    AdmissionDecision(
-                        admitted=True,
-                        link=name,
-                        reason=reason,
-                        target=float(targets[i]),
-                        n_flows=n,
-                        degraded=degraded,
-                        health=health.value,
-                        mu_hat=mu_hat,
-                        sigma_hat=sigma_hat,
-                    )
-                )
-            if accepted < remaining:
-                reject_target = float(targets[accepted])
-                reject = AdmissionDecision(
-                    admitted=False,
-                    link=name,
-                    reason=reason,
-                    target=reject_target,
-                    n_flows=n,
-                    degraded=degraded,
-                    health=health.value,
-                    mu_hat=mu_hat,
-                    sigma_hat=sigma_hat,
-                )
-                decisions.extend([reject] * (remaining - accepted))
-            last_target = float(targets[min(accepted, remaining - 1)])
-
-        admitted_total = n - self._n
-        self._n = n
-        if admitted_total:
-            self._m_admits.inc(admitted_total)
-        if k - admitted_total:
-            self._m_rejects.inc(k - admitted_total)
-        self._m_n.set(n)
-        if not math.isnan(last_target):
-            self._m_target.set(last_target)
+        decisions = self._decide(k, now, flow_class)
         self._m_batch_size.observe(k)
         self._m_batch_latency.observe(time.perf_counter() - t0)
         if profiler is not None:
             profiler.admit_many.observe(time.perf_counter_ns() - p0)
-        logger.debug(
-            "link %s admit_many(t=%.6g, k=%d): %d accepted, %d rejected "
-            "(n=%d, health=%s)",
-            name, now, k, admitted_total, k - admitted_total, n, health.value,
-        )
-        return decisions
-
-    def _admit_many_classed(
-        self, k: int, now: float, flow_class: str
-    ) -> list[AdmissionDecision]:
-        """Classed burst: ``k`` sequential classed admits, batched."""
-        bank = self.class_bank
-        class_id = bank.class_id(flow_class)
-        t0 = time.perf_counter()
-        profiler = self.profiler
-        if profiler is not None:
-            p0 = time.perf_counter_ns()
-        self.tick(now)
-        health = self._health
-        degraded = health is not LinkHealth.HEALTHY
-        if profiler is not None:
-            e0 = time.perf_counter_ns()
-        if self._class_estimate is not None:
-            estimate = self._class_estimate(class_id)
-        else:
-            estimate = self._current_estimate()
-        if profiler is not None:
-            profiler.estimator_read.observe(time.perf_counter_ns() - e0)
-        mu_hat = estimate.mu if estimate is not None else math.nan
-        sigma_hat = estimate.sigma if estimate is not None else math.nan
-
-        decisions: list[AdmissionDecision] = []
-        name = self.name
-        n = self._n
-        n_k = self._class_n.get(class_id, 0)
-        remaining = k
-
-        if health is LinkHealth.QUARANTINED:
-            reject = AdmissionDecision(
-                admitted=False,
-                link=name,
-                reason="quarantined",
-                target=math.nan,
-                n_flows=n,
-                degraded=degraded,
-                health=health.value,
-                mu_hat=mu_hat,
-                sigma_hat=sigma_hat,
-            )
-            decisions.extend([reject] * remaining)
-            remaining = 0
-
-        while remaining > 0 and (
-            estimate is None or (estimate.mu <= 0.0 and n_k == 0)
-        ):
-            if not degraded and n_k == 0:
-                admitted, reason = True, "bootstrap"
-                n += 1
-                n_k += 1
+        if logger.isEnabledFor(logging.DEBUG):
+            accepted = sum(d.admitted for d in decisions)
+            n_k = self._class_occupancy(flow_class)
+            if n_k is None:
+                logger.debug(
+                    "link %s admit_many(t=%.6g, k=%d): %d accepted, "
+                    "%d rejected (n=%d, health=%s)",
+                    self.name, now, k, accepted, k - accepted, self._n,
+                    self._health.value,
+                )
             else:
-                admitted, reason = False, "no-measurement"
-            decisions.append(
-                AdmissionDecision(
-                    admitted=admitted,
-                    link=name,
-                    reason=reason,
-                    target=math.nan,
-                    n_flows=n,
-                    degraded=degraded,
-                    health=health.value,
-                    mu_hat=mu_hat,
-                    sigma_hat=sigma_hat,
+                logger.debug(
+                    "link %s admit_many(t=%.6g, k=%d, class=%s): %d accepted, "
+                    "%d rejected (n_k=%d, n=%d, health=%s)",
+                    self.name, now, k, flow_class, accepted, k - accepted,
+                    n_k, self._n, self._health.value,
                 )
-            )
-            remaining -= 1
-
-        last_target = math.nan
-        if remaining > 0:
-            controller = bank.controller(class_id, conservative=degraded)
-            reason = "conservative-target" if degraded else "target"
-            occupancies = n_k + np.arange(remaining)
-            targets = controller.target_count_batch(
-                estimate.mu, estimate.sigma, occupancies
-            )
-            ok = occupancies + 1 <= np.floor(targets)
-            accepted = int(ok.argmin()) if not ok.all() else remaining
-            for i in range(accepted):
-                n += 1
-                n_k += 1
-                decisions.append(
-                    AdmissionDecision(
-                        admitted=True,
-                        link=name,
-                        reason=reason,
-                        target=float(targets[i]),
-                        n_flows=n,
-                        degraded=degraded,
-                        health=health.value,
-                        mu_hat=mu_hat,
-                        sigma_hat=sigma_hat,
-                    )
-                )
-            if accepted < remaining:
-                reject = AdmissionDecision(
-                    admitted=False,
-                    link=name,
-                    reason=reason,
-                    target=float(targets[accepted]),
-                    n_flows=n,
-                    degraded=degraded,
-                    health=health.value,
-                    mu_hat=mu_hat,
-                    sigma_hat=sigma_hat,
-                )
-                decisions.extend([reject] * (remaining - accepted))
-            last_target = float(targets[min(accepted, remaining - 1)])
-
-        admitted_total = n - self._n
-        self._n = n
-        self._class_n[class_id] = n_k
-        if admitted_total:
-            self._m_admits.inc(admitted_total)
-        if k - admitted_total:
-            self._m_rejects.inc(k - admitted_total)
-        self._m_n.set(n)
-        gauge = self._m_class_n.get(class_id)
-        if gauge is not None:
-            gauge.set(n_k)
-        if not math.isnan(last_target):
-            self._m_target.set(last_target)
-        self._m_batch_size.observe(k)
-        self._m_batch_latency.observe(time.perf_counter() - t0)
-        if profiler is not None:
-            profiler.admit_many.observe(time.perf_counter_ns() - p0)
-        logger.debug(
-            "link %s admit_many(t=%.6g, k=%d, class=%s): %d accepted, "
-            "%d rejected (n_k=%d, n=%d, health=%s)",
-            name, now, k, flow_class, admitted_total, k - admitted_total,
-            n_k, n, health.value,
-        )
         return decisions
 
     def install(self, now: float, flow_class: str | None = None) -> None:

@@ -63,9 +63,25 @@ __all__ = [
     "PROFILE_NS_BUCKETS",
     "Profiler",
     "TraceEvent",
+    "digest_record",
     "escape_label_value",
     "render_prometheus",
 ]
+
+
+def digest_record(flow_id, decision) -> bytes:
+    """One decision's line in every decision digest.
+
+    ``replay(collect_digest=True)``, :class:`DecisionTracer`, the served
+    journal digest and the overload scenario all hash this line.  UTF-8,
+    not ASCII: the protocol accepts any Unicode flow id, and a digest
+    helper must never be the thing that raises on one.
+    """
+    return (
+        f"{flow_id}|{int(decision.admitted)}|{decision.reason}|"
+        f"{decision.link}|{decision.n_flows}|{decision.target!r}\n"
+    ).encode("utf-8")
+
 
 #: Default ring-buffer capacity: enough for a full chaos soak iteration
 #: without unbounded memory on a long-lived gateway.
@@ -226,13 +242,7 @@ class DecisionTracer:
             health=decision.health,
             latency=latency,
         )
-        # Must stay byte-for-byte identical to replay()'s record() format
-        # (UTF-8 so non-ASCII flow ids digest instead of raising).
-        self._sha.update(
-            f"{flow_id}|{int(decision.admitted)}|{decision.reason}|"
-            f"{decision.link}|{decision.n_flows}|{decision.target!r}\n"
-            .encode("utf-8")
-        )
+        self._sha.update(digest_record(flow_id, decision))
         self._decisions += 1
 
     def record_failover(

@@ -38,6 +38,7 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.runtime.faults import FaultPlan
 from repro.runtime.gateway import AdmissionGateway
+from repro.runtime.observability import digest_record
 
 __all__ = ["FeedOutage", "ReplayReport", "replay"]
 
@@ -180,13 +181,7 @@ def replay(
     digest = hashlib.sha256() if collect_digest else None
 
     def record(flow_id, decision) -> None:
-        # UTF-8 so non-ASCII flow ids digest instead of raising; must stay
-        # byte-for-byte identical to service.server.digest_record.
-        digest.update(
-            f"{flow_id}|{int(decision.admitted)}|{decision.reason}|"
-            f"{decision.link}|{decision.n_flows}|{decision.target!r}\n"
-            .encode("utf-8")
-        )
+        digest.update(digest_record(flow_id, decision))
 
     # (time, kind, seq, payload) -- seq breaks ties deterministically.
     heap: list[tuple[float, int, int, object]] = []

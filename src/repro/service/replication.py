@@ -605,10 +605,7 @@ class ProcessCluster:
         try:
             while not conn.poll(0):
                 if not process.is_alive():
-                    raise RuntimeStateError(
-                        f"shard process {name} died during startup "
-                        f"(exit code {process.exitcode})"
-                    )
+                    break
                 if time.monotonic() > deadline:
                     process.kill()
                     raise RuntimeStateError(
@@ -616,7 +613,17 @@ class ProcessCluster:
                         f"within {self.spawn_timeout:g}s"
                     )
                 await asyncio.sleep(0.02)
-            return tuple(conn.recv())
+            else:
+                try:
+                    return tuple(conn.recv())
+                except EOFError:
+                    # The pipe closed with nothing in it: the child died
+                    # before reporting.  Let it finish exiting.
+                    await asyncio.to_thread(process.join, 1.0)
+            raise RuntimeStateError(
+                f"shard process {name} died during startup "
+                f"(exit code {process.exitcode})"
+            )
         finally:
             conn.close()
 

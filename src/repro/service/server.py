@@ -49,7 +49,7 @@ from repro.errors import (
 from repro.runtime.gateway import AdmissionGateway
 from repro.runtime.health import LinkHealth
 from repro.runtime.metrics import json_safe
-from repro.runtime.observability import DecisionTracer, Profiler
+from repro.runtime.observability import DecisionTracer, Profiler, digest_record
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     MAX_PROTOCOL_VERSION,
@@ -82,18 +82,6 @@ _STANDBY_REFUSED = frozenset(
     {"admit", "admit_many", "depart", "depart_many", "telemetry",
      "migrate-out", "migrate-in", "retarget"}
 )
-
-
-def digest_record(flow_id, decision) -> bytes:
-    """One decision's digest line -- the exact format ``replay()`` hashes.
-
-    UTF-8, not ASCII: the protocol accepts any Unicode flow id, and a
-    digest helper must never be the thing that raises on one.
-    """
-    return (
-        f"{flow_id}|{int(decision.admitted)}|{decision.reason}|"
-        f"{decision.link}|{decision.n_flows}|{decision.target!r}\n"
-    ).encode("utf-8")
 
 
 def shard_health(gateway: AdmissionGateway) -> LinkHealth:

@@ -142,7 +142,27 @@ class TestSingleClassDifferentialDigest:
                 gateway.depart(live.pop(0), t)
         return sha.hexdigest()
 
-    def test_digest_matches_the_classless_twin(self):
+    def drive_bursts(self, gateway, flow_class) -> str:
+        """The same comparison through ``admit_many``/``depart_many``."""
+        sha = hashlib.sha256()
+        t = 0.0
+        live = []
+        for i in range(40):
+            t += 1.0
+            flows = [f"b{i}.{j}" for j in range(1 + (i * 7) % 9)]
+            decisions = gateway.admit_many(flows, t, flow_class)
+            for flow, decision in zip(flows, decisions):
+                sha.update(digest_record(flow, decision))
+                if decision.admitted:
+                    live.append(flow)
+            leaving = live[: (i * 3) % 5]
+            if leaving:
+                gateway.depart_many(leaving, t)
+                del live[: len(leaving)]
+        return sha.hexdigest()
+
+    def twins(self):
+        """A one-class classed gateway and its classless twin."""
         policies = self.single_policy()
         policy = policies.policy("only")
         seed = 11
@@ -180,8 +200,17 @@ class TestSingleClassDifferentialDigest:
         classless = AdmissionGateway(
             [link], placement="least-loaded", registry=registry
         )
+        return classed, classless
 
+    def test_digest_matches_the_classless_twin(self):
+        classed, classless = self.twins()
         assert self.drive(classed, "only") == self.drive(classless, None)
+
+    def test_burst_digest_matches_the_classless_twin(self):
+        classed, classless = self.twins()
+        assert self.drive_bursts(classed, "only") == self.drive_bursts(
+            classless, None
+        )
 
     def test_twin_classed_gateways_decide_identically(self):
         """Two classed gateways built from the same config are twins --

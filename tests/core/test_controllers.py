@@ -2,12 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.admission import admissible_flow_count
 from repro.core.controllers import (
-    AdmissionController,
     CertaintyEquivalentController,
     PerfectKnowledgeController,
 )
@@ -88,53 +86,6 @@ class TestCertaintyEquivalent:
     def test_p_ce_property(self):
         ctrl = CertaintyEquivalentController(100.0, 1e-4)
         assert ctrl.p_ce == pytest.approx(1e-4, rel=1e-9)
-
-
-class TestBatchTarget:
-    """target_count_batch must agree element-wise with target_count."""
-
-    def test_certainty_equivalent_matches_scalar(self):
-        ctrl = CertaintyEquivalentController(100.0, 1e-3, min_sigma=0.2)
-        mu = np.array([1.0, 0.8, 1.2, 0.0, -0.5, 1.0])
-        sigma = np.array([0.3, 0.5, 0.0, 0.3, 0.3, 0.1])  # incl. < min_sigma
-        n = np.array([0, 5, 10, 7, 3, 50])
-        batch = ctrl.target_count_batch(mu, sigma, n)
-        for i in range(len(mu)):
-            estimate = BandwidthEstimate(mu=mu[i], sigma=sigma[i], n=int(n[i]))
-            assert batch[i] == pytest.approx(
-                ctrl.target_count(estimate, int(n[i]))
-            )
-
-    def test_nonpositive_mean_freezes_at_occupancy(self):
-        ctrl = CertaintyEquivalentController(100.0, 1e-3)
-        batch = ctrl.target_count_batch([0.0, -1.0], [0.3, 0.3], [7, 12])
-        assert batch.tolist() == [7.0, 12.0]
-
-    def test_perfect_knowledge_is_constant(self):
-        ctrl = PerfectKnowledgeController(1.0, 0.3, 100.0, 1e-3)
-        batch = ctrl.target_count_batch(
-            [5.0, 1.0, 0.0], [2.0, 0.3, 0.0], [0, 10, 99]
-        )
-        assert batch.shape == (3,)
-        assert np.allclose(batch, ctrl.m_star)
-
-    def test_broadcasting_scalar_estimate_over_occupancies(self):
-        ctrl = CertaintyEquivalentController(100.0, 1e-3)
-        occupancies = np.arange(4)
-        batch = ctrl.target_count_batch(1.0, 0.3, occupancies)
-        assert batch.shape == (4,)
-        expected = ctrl.target_count(est(), 0)
-        assert np.allclose(batch, expected)
-
-    def test_base_class_fallback_loop(self):
-        class Stub(AdmissionController):
-            name = "stub"
-
-            def target_count(self, estimate, n_current):
-                return estimate.mu * 10.0 + n_current
-
-        batch = Stub().target_count_batch([1.0, 2.0], [0.0, 0.0], [3, 4])
-        assert batch.tolist() == [13.0, 24.0]
 
 
 class TestAdjustedTarget:

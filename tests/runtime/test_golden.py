@@ -2,10 +2,11 @@
 
 A small seeded replay (two links, cycling trace feeds, one measurement
 outage, ~200 decisions) is committed under ``tests/runtime/data/`` as a
-deterministic trace JSONL plus its sha256 decision digest.  The test
-re-runs the replay and asserts byte-identical output, so any refactor
-that silently changes admission behavior -- decision order, targets,
-occupancy accounting, trace schema -- fails loudly here.
+deterministic trace JSONL plus its sha256 decision digest; the digest of
+the same replay drained in ``batch_window`` bursts is committed beside
+it.  The test re-runs the replay and asserts byte-identical output, so
+any refactor that silently changes admission behavior -- decision
+order, targets, occupancy accounting, trace schema -- fails loudly here.
 
 The golden gateway is built only from closed-form pieces (explicit-alpha
 controllers, memoryless estimators, hand-written cross-sections) so the
@@ -89,11 +90,15 @@ def build_golden_gateway(tracer):
     )
 
 
-def run_golden():
+#: Window of the batched golden replay (every instant is one burst).
+BATCH_WINDOW = 2.0
+
+
+def run_golden(batch_window=None):
     """One golden replay; returns (tracer, report, deterministic lines)."""
     tracer = DecisionTracer()
     gateway = build_golden_gateway(tracer)
-    report = replay(gateway, **REPLAY_KWARGS)
+    report = replay(gateway, batch_window=batch_window, **REPLAY_KWARGS)
     lines = list(tracer.event_lines(deterministic=True))
     return tracer, report, lines
 
@@ -126,6 +131,18 @@ class TestGoldenTrace:
             "JSONL; if intentional, regenerate the data files"
         )
 
+    def test_batched_replay_matches_committed_golden(self):
+        # The same recipe drained in admit_many/depart_many bursts pins
+        # the burst decision path the sequential golden never takes.
+        meta = json.loads(META_PATH.read_text())["batched"]
+        tracer, report, _ = run_golden(BATCH_WINDOW)
+        assert report.decision_digest == meta["decision_digest"]
+        assert tracer.digest() == report.decision_digest
+        assert report.batches == meta["batches"]
+        assert tracer.counts == meta["event_counts"]
+        assert report.admitted > 0 and report.rejected > 0
+        assert report.arrivals > report.batches  # real bursts, not singles
+
     def test_golden_workload_is_interesting(self):
         # The golden run must exercise the paths it pins: both decisions
         # outcomes, the outage-driven health transition, and enough
@@ -139,6 +156,7 @@ class TestGoldenTrace:
 def regen():  # pragma: no cover - maintenance entry point
     DATA_DIR.mkdir(exist_ok=True)
     tracer, report, lines = run_golden()
+    batched_tracer, batched, _ = run_golden(BATCH_WINDOW)
     TRACE_PATH.write_text("\n".join(lines) + "\n")
     META_PATH.write_text(json.dumps(
         {
@@ -147,6 +165,12 @@ def regen():  # pragma: no cover - maintenance entry point
             "event_counts": tracer.counts,
             "replay": {k: v for k, v in REPLAY_KWARGS.items()
                        if k not in ("outages", "collect_digest")},
+            "batched": {
+                "batch_window": BATCH_WINDOW,
+                "batches": batched.batches,
+                "decision_digest": batched.decision_digest,
+                "event_counts": batched_tracer.counts,
+            },
         },
         indent=2,
         sort_keys=True,

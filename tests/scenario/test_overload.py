@@ -11,6 +11,12 @@ import pytest
 from repro.errors import MixWeightError, ParameterError
 from repro.scenario.overload import OverloadConfig, run_overload
 
+#: Decision digest of the default run (``repro overload``).  It is the
+#: only committed digest of classed single-flow decisions.
+GOLDEN_DIGEST = (
+    "48f16da6e1e883b78e94e6a155f53b52c6ce1d06aa26d292bc37726a4f32bb94"
+)
+
 
 @pytest.fixture(scope="module")
 def default_result():
@@ -95,6 +101,9 @@ class TestDefaultRun:
         rerun = run_overload(OverloadConfig())
         assert rerun.digest == default_result.digest
         assert rerun.as_dict() == default_result.as_dict()
+
+    def test_digest_matches_committed_golden(self, default_result):
+        assert default_result.digest == GOLDEN_DIGEST
 
     def test_as_dict_round_trips_the_report(self, default_result):
         out = default_result.as_dict()

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ParameterError, RemoteError
+from repro.errors import ParameterError, RemoteError, RuntimeStateError
 from repro.runtime.faults import FaultPlan, FeedFaults
 from repro.service import server as server_module
 from repro.service.protocol import JOURNAL_OPS, make_request
@@ -580,6 +580,30 @@ class TestProcessCluster:
             ProcessCluster(SPEC, shards=0)
         with pytest.raises(ParameterError):
             ProcessCluster(SPEC, replicas=2)
+
+    def test_shard_that_dies_at_startup_names_itself(self):
+        """A shard that exits before reporting its address (here: a state
+        checkpoint that does not unpickle) surfaces as the supervisor's
+        typed startup error with its exit code, not a bare EOFError."""
+        cluster = ProcessCluster(SPEC, shards=1, replicas=0)
+
+        async def scenario():
+            process, conn = cluster._launch(
+                "s0", state=b"not a pickle", standby=False
+            )
+            try:
+                with pytest.raises(
+                    RuntimeStateError,
+                    match=r"shard process s0 died during startup "
+                          r"\(exit code 1\)",
+                ):
+                    await cluster._recv_address("s0", process, conn)
+            finally:
+                process.join(timeout=10.0)
+                if process.is_alive():  # pragma: no cover - safety net
+                    process.kill()
+
+        run(scenario())
 
     def test_sigkill_failover_under_load(self):
         """The acceptance test: a 3-shard multi-process cluster survives
