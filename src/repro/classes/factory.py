@@ -103,8 +103,8 @@ def build_classed_gateway(
     to a classless link).  ``memory`` defaults to the paper's rule
     ``T_m = T_h_tilde`` at the mixture system size and ``feed_period`` to
     ``memory / 4``; per-link feeds are seeded ``seed*1000 + i`` exactly
-    like the classless CLI assembly.  The returned policy set is the one
-    actually installed (post-adjustment).
+    like the classless :class:`~repro.runtime.spec.GatewaySpec`.  The
+    returned policy set is the one actually installed (post-adjustment).
     """
     if links < 1:
         raise ParameterError("need at least one link")

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--telemetry-ingest",
         action="store_true",
-        help="replace every link's feed with a push-ingestion buffer: "
+        help="build every link's feed as a push-ingestion buffer: "
         "measurements come only from 'telemetry' wire frames "
         "(see `repro telemetry-push`)",
     )
@@ -696,7 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
-    """Arguments shared by the gateway-driving commands (serve/chaos)."""
+    """The gateway flags: every command that builds a gateway from
+    :func:`_spec_from_args` (serve-replay, chaos-replay, serve, loadgen
+    and serve-cluster) takes them."""
     parser.add_argument("--links", type=int, default=4, help="number of links")
     parser.add_argument(
         "--n", type=float, default=100.0, help="per-link system size c/mu"
@@ -873,110 +875,38 @@ def _parse_outages(specs: list[str]):
     return outages
 
 
-#: Byte scale for the counter-backed measurement planes: a flow at the
-#: nominal unit rate moves this many counter bytes per unit time.  Shared
-#: by ``--feed counters`` and ``serve --telemetry-ingest`` so external
-#: monitors know the wire contract (see docs/telemetry.md).
-COUNTER_BYTES_PER_UNIT = 1e6
+def _spec_from_args(args: argparse.Namespace, *, kind: str = "rcbr"):
+    """The :class:`~repro.runtime.spec.GatewaySpec` the gateway flags name.
 
-#: Plausibility ceiling on one stream's rate, in nominal per-flow units.
-#: Generous (the RCBR marginal at cv 0.3 essentially never reaches 10x
-#: its mean) but finite, so garbage counter values poison the stream
-#: instead of inflating the admission estimate.
-COUNTER_MAX_RATE_UNITS = 50.0
-
-
-def _counter_feed(source, *, period: float, seed: int, width: int):
-    """Build the polled-counter measurement plane for one link."""
-    from repro.telemetry import CounterPollerFeed, SyntheticCounterSource
-
-    counter_source = SyntheticCounterSource(
-        source, seed=seed, width=width, bytes_per_unit=COUNTER_BYTES_PER_UNIT
-    )
-    return CounterPollerFeed(
-        counter_source,
-        period,
-        width=width,
-        max_rate=COUNTER_MAX_RATE_UNITS * COUNTER_BYTES_PER_UNIT,
-        rate_scale=COUNTER_BYTES_PER_UNIT,
-    )
-
-
-def _build_gateway(
-    args: argparse.Namespace,
-    *,
-    seed: int | None = None,
-    tracer=None,
-    profiler=None,
-):
-    """Build a fresh gateway (+ registry and derived timing) from CLI args.
-
-    Shared by ``serve-replay`` and ``chaos-replay``; ``seed`` overrides
-    ``args.seed`` so chaos soak iterations can rebuild with fresh seeds.
-    ``tracer``/``profiler`` (see :mod:`repro.runtime.observability`) are
-    attached to every link and the gateway when given.
+    ``serve --telemetry-ingest`` selects the ``ingest`` feed.
     """
-    from repro.runtime import (
-        AdmissionGateway,
-        ManagedLink,
-        MetricsRegistry,
-        SourceFeed,
-    )
-    from repro.traffic.rcbr import paper_rcbr_source
+    from repro.runtime.spec import GatewaySpec
 
-    if seed is None:
-        seed = args.seed
-    registry = MetricsRegistry()
-    t_h_tilde = critical_time_scale(args.holding_time, args.n)
-    memory = args.memory if args.memory is not None else t_h_tilde
-    tick_period = (
-        args.tick_period if args.tick_period is not None else max(memory / 4.0, 1e-3)
+    return GatewaySpec(
+        kind=kind,
+        links=args.links,
+        capacity=args.n,
+        placement=args.policy,
+        n=args.n,
+        holding_time=args.holding_time,
+        correlation_time=args.correlation_time,
+        snr=args.snr,
+        p_q=args.p_q,
+        stale_fraction=args.stale_fraction,
+        seed=args.seed,
+        memory=args.memory,
+        tick_period=args.tick_period,
+        feed="ingest" if getattr(args, "telemetry_ingest", False) else args.feed,
+        counter_width=args.counter_width,
     )
-    feed_kind = getattr(args, "feed", "oracle")
-    links = []
-    for i in range(args.links):
-        source = paper_rcbr_source(
-            mean=1.0, cv=args.snr, correlation_time=args.correlation_time
-        )
-        if feed_kind == "counters":
-            feed = _counter_feed(
-                source,
-                period=tick_period,
-                seed=seed * 1000 + i,
-                width=args.counter_width,
-            )
-        else:
-            feed = SourceFeed(source, period=tick_period, seed=seed * 1000 + i)
-        links.append(
-            ManagedLink.build(
-                f"link{i}",
-                capacity=args.n * source.mean,
-                holding_time=args.holding_time,
-                mean_rate=source.mean,
-                feed=feed,
-                p_q=args.p_q,
-                snr=args.snr,
-                correlation_time=args.correlation_time,
-                memory=args.memory,
-                stale_fraction=args.stale_fraction,
-                registry=registry,
-                tracer=tracer,
-                profiler=profiler,
-            )
-        )
-    gateway = AdmissionGateway(links, placement=args.policy, registry=registry)
 
-    # Default load: ~1.3x what the links can carry, so rejects are exercised.
-    arrival_rate = args.arrival_rate
-    if arrival_rate is None:
-        arrival_rate = 1.3 * args.links * args.n / args.holding_time
-    derived = {
-        "t_h_tilde": t_h_tilde,
-        "memory": memory,
-        "tick_period": tick_period,
-        "arrival_rate": arrival_rate,
-    }
-    return gateway, registry, derived
+
+def _arrival_rate(args: argparse.Namespace) -> float:
+    """``--arrival-rate``, else ~1.3x what the links can carry, so rejects
+    are exercised."""
+    if args.arrival_rate is not None:
+        return args.arrival_rate
+    return 1.3 * args.links * args.n / args.holding_time
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> int:
@@ -986,21 +916,18 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         DecisionTracer,
         FaultPlan,
         MetricsJsonlWriter,
+        MetricsRegistry,
         Profiler,
         render_prometheus,
         replay,
     )
 
+    spec = _spec_from_args(args)
+    registry = MetricsRegistry()
     tracer = DecisionTracer() if args.trace_out else None
-    gateway, registry, derived = _build_gateway(args, tracer=tracer)
     profiler = Profiler(registry) if args.profile else None
-    if profiler is not None:
-        for link in gateway.links:
-            link.profiler = profiler
-        gateway.profiler = profiler
-    t_h_tilde = derived["t_h_tilde"]
-    memory = derived["memory"]
-    tick_period = derived["tick_period"]
+    gateway = spec.build(registry=registry, tracer=tracer, profiler=profiler)
+    tick_period = spec.feed_period
 
     batch_window = args.batch_window
     if batch_window is None and args.batch:
@@ -1023,7 +950,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         report = replay(
             gateway,
             n_events=args.events,
-            arrival_rate=derived["arrival_rate"],
+            arrival_rate=_arrival_rate(args),
             holding_time=args.holding_time,
             tick_period=tick_period,
             seed=args.seed,
@@ -1081,8 +1008,9 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     counters = report.metrics["counters"]
     print(f"links                : {args.links} x capacity {args.n:g} "
           f"(policy: {args.policy})")
-    print(f"memory T_m           : {memory:g} (T_h_tilde {t_h_tilde:g}, "
-          f"tick {tick_period:g})")
+    t_h_tilde = critical_time_scale(args.holding_time, args.n)
+    print(f"memory T_m           : {spec.memory_in_use:g} "
+          f"(T_h_tilde {t_h_tilde:g}, tick {tick_period:g})")
     print(f"events replayed      : {report.events} "
           f"({report.arrivals} arrivals, {report.departures} departures, "
           f"{report.ticks} ticks)")
@@ -1140,25 +1068,21 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
 
     from repro.runtime import FaultPlan, default_chaos_plan, replay
 
+    spec = _spec_from_args(args)
+    arrival_rate = _arrival_rate(args)
+    tick_period = spec.feed_period
+
     def run(seed: int, plan, collect_digest: bool = False):
-        gateway, _, derived = _build_gateway(args, seed=seed)
-        report = replay(
-            gateway,
+        return replay(
+            spec.with_seed(seed).build(),
             n_events=args.events,
-            arrival_rate=derived["arrival_rate"],
+            arrival_rate=arrival_rate,
             holding_time=args.holding_time,
-            tick_period=derived["tick_period"],
+            tick_period=tick_period,
             seed=seed,
             fault_plan=plan,
             collect_digest=collect_digest,
         )
-        return report, derived
-
-    t_h_tilde = critical_time_scale(args.holding_time, args.n)
-    memory = args.memory if args.memory is not None else t_h_tilde
-    tick_period = (
-        args.tick_period if args.tick_period is not None else max(memory / 4.0, 1e-3)
-    )
 
     def make_plan(seed: int):
         if args.fault_plan:
@@ -1169,7 +1093,7 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
             period=tick_period,
             start=4.0 * tick_period,
             seed=seed,
-            counters=getattr(args, "feed", "oracle") == "counters",
+            counters=spec.feed == "counters",
         )
 
     iterations = []
@@ -1180,9 +1104,9 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
         seed = args.seed + iteration
         plan = make_plan(seed)
 
-        baseline, _ = run(seed, None)
-        faulted, _ = run(seed, plan, collect_digest=True)
-        repeated, _ = run(seed, plan, collect_digest=True)
+        baseline = run(seed, None)
+        faulted = run(seed, plan, collect_digest=True)
+        repeated = run(seed, plan, collect_digest=True)
 
         bound = args.overflow_factor * max(
             baseline.overflow_fraction, args.overflow_floor
@@ -1284,23 +1208,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime import MetricsJsonlWriter
     from repro.service import AdmissionServer
 
-    gateway, registry, derived = _build_gateway(args)
-    if args.telemetry_ingest:
-        from repro.telemetry import IngestFeed
-
-        for link in gateway.links:
-            link.feed = IngestFeed(
-                derived["tick_period"],
-                width=args.counter_width,
-                max_rate=COUNTER_MAX_RATE_UNITS * COUNTER_BYTES_PER_UNIT,
-                rate_scale=COUNTER_BYTES_PER_UNIT,
-            )
+    spec = _spec_from_args(args)
+    gateway = spec.build()
+    registry = gateway.registry
     metrics_writer = None
     if args.metrics_out:
         interval = (
             args.metrics_interval
             if args.metrics_interval is not None
-            else 10.0 * derived["tick_period"]
+            else 10.0 * spec.feed_period
         )
         metrics_writer = MetricsJsonlWriter(
             registry, args.metrics_out, interval=interval
@@ -1419,13 +1335,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return _usage_error("--check-digest needs --self-host (it replays "
                             "the servers' journals on fresh gateways)")
 
-    rate = args.rate
-    if rate is None:
-        rate = (
-            args.arrival_rate
-            if args.arrival_rate is not None
-            else 1.3 * args.links * args.n / args.holding_time
-        )
+    spec = _spec_from_args(args)
+    rate = args.rate if args.rate is not None else _arrival_rate(args)
     try:
         class_mix = _parse_class_mix(args.class_mix)
     except ValueError as exc:
@@ -1447,7 +1358,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     async def one_run():
         if args.self_host:
             return await self_host_run(
-                lambda i: _build_gateway(args, seed=args.seed + i)[0],
+                lambda i: spec.with_seed(args.seed + i).build(),
                 shards=args.shards,
                 collect_digest=True,
                 keep_journal=args.check_digest,
@@ -1466,7 +1377,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         # served digest byte for byte.
         digest_replayed = True
         for i, server in enumerate(servers):
-            fresh = _build_gateway(args, seed=args.seed + i)[0]
+            fresh = spec.with_seed(args.seed + i).build()
             if replay_journal(fresh, server.journal) != server.digest():
                 digest_replayed = False
                 failures.append(
@@ -1608,11 +1519,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.service import (
-        GatewaySpec,
-        ProcessCluster,
-        run_cluster_loadgen,
-    )
+    from repro.service import ProcessCluster, run_cluster_loadgen
 
     kills = _parse_shard_times(args.kill, "--kill")
     restarts = _parse_shard_times(args.restart, "--restart")
@@ -1622,26 +1529,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         return _usage_error("--kill needs --replicas 1 (a killed shard "
                             "without a follower cannot fail over)")
 
-    rate = args.rate
-    if rate is None:
-        rate = (
-            args.arrival_rate
-            if args.arrival_rate is not None
-            else 1.3 * args.links * args.n / args.holding_time
-        )
-    spec = GatewaySpec(
-        kind=args.gateway,
-        links=args.links,
-        capacity=args.n,
-        placement=args.policy,
-        n=args.n,
-        holding_time=args.holding_time,
-        correlation_time=args.correlation_time,
-        snr=args.snr,
-        p_q=args.p_q,
-        stale_fraction=args.stale_fraction,
-        seed=args.seed,
-    )
+    spec = _spec_from_args(args, kind=args.gateway)
+    rate = args.rate if args.rate is not None else _arrival_rate(args)
 
     async def run():
         async with ProcessCluster(

@@ -28,6 +28,8 @@ Layers (bottom-up):
 * :mod:`repro.runtime.observability` -- decision tracing (bounded ring
   buffer + JSONL export + replay-compatible digest), Prometheus/JSONL
   metrics export, and opt-in hot-path profiling.
+* :mod:`repro.runtime.spec` -- :class:`GatewaySpec`, the classless
+  gateway recipe (links, memory, tick, feed) every caller builds from.
 """
 
 from repro.runtime.faults import (
@@ -73,6 +75,7 @@ from repro.runtime.observability import (
     render_prometheus,
 )
 from repro.runtime.replay import FeedOutage, ReplayReport, replay
+from repro.runtime.spec import GatewaySpec
 
 __all__ = [
     "AdmissionDecision",
@@ -88,6 +91,7 @@ __all__ = [
     "FaultyFeed",
     "FeedFaults",
     "FeedOutage",
+    "GatewaySpec",
     "Gauge",
     "HashPlacement",
     "Histogram",

@@ -1184,18 +1184,19 @@ def decision_to_wire(decision: AdmissionDecision) -> dict:
 
 def decision_from_wire(payload: dict) -> AdmissionDecision:
     """Rebuild an :class:`AdmissionDecision` from a response frame."""
+    # Positional: keywords cost the frozen dataclass ~0.35 us a decision.
     get = payload.get
     target = get("target")
     mu_hat = get("mu_hat")
     sigma_hat = get("sigma_hat")
     return AdmissionDecision(
-        admitted=bool(payload["admitted"]),
-        link=payload["link"],
-        reason=payload["reason"],
-        target=math.nan if target is None else float(target),
-        n_flows=int(payload["n_flows"]),
-        degraded=bool(get("degraded", False)),
-        health=get("health", "healthy"),
-        mu_hat=math.nan if mu_hat is None else float(mu_hat),
-        sigma_hat=math.nan if sigma_hat is None else float(sigma_hat),
+        bool(payload["admitted"]),
+        payload["link"],
+        payload["reason"],
+        math.nan if target is None else float(target),
+        int(payload["n_flows"]),
+        bool(get("degraded", False)),
+        get("health", "healthy"),
+        math.nan if mu_hat is None else float(mu_hat),
+        math.nan if sigma_hat is None else float(sigma_hat),
     )

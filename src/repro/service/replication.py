@@ -30,10 +30,11 @@ Failure model
   proves every decision is accounted for exactly once.
 
 Determinism: the supervisor builds each pair's gateway once from a
-:class:`GatewaySpec` and hands the leader and the follower the same
-state checkpoint (:func:`~repro.service.server.dump_gateway_state`), so
-the two start as *identical twins* -- which is what makes the follower's
-replayed digest comparable to the leader's in the first place.  The
+:class:`~repro.runtime.spec.GatewaySpec` and hands the leader and the
+follower the same state checkpoint
+(:func:`~repro.service.server.dump_gateway_state`), so the two start
+as *identical twins* -- which is what makes the follower's replayed
+digest comparable to the leader's in the first place.  The
 design step (inverting the overflow theory for the adjusted target)
 runs in the supervisor; a shard process only loads the checkpoint and
 never imports scipy.
@@ -42,13 +43,11 @@ never imports scipy.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import logging
 import multiprocessing
 import os
 import signal
 import time
-from dataclasses import dataclass
 from typing import Hashable
 
 from repro.errors import (
@@ -57,6 +56,7 @@ from repro.errors import (
     RuntimeStateError,
     UnknownFlowError,
 )
+from repro.runtime.spec import GatewaySpec
 from repro.service.client import AsyncAdmissionClient
 from repro.service.cluster import DEFAULT_VNODES, HashRing
 from repro.service.protocol import decision_from_wire
@@ -78,149 +78,6 @@ logger = logging.getLogger(__name__)
 
 #: Transient failures the supervisor treats as "this shard may be dead".
 _SHARD_DOWN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
-
-
-@dataclass(frozen=True)
-class GatewaySpec:
-    """Recipe for building deterministic twin gateways.
-
-    Two ``build()`` calls (in any process) construct gateways that decide
-    identically for identical op sequences -- the property every digest
-    comparison in the replication plane rests on.  :class:`ProcessCluster`
-    calls ``build()`` in the supervisor only, once per leader+follower
-    pair, and ships the result to both shard processes as one state
-    checkpoint; the spec itself never reaches a shard.
-
-    Kinds
-    -----
-    ``trace``
-        Memoryless estimators over a cycling one-section trace feed
-        (the service test-suite gateway): fully deterministic, fast,
-        ideal for failover tests and the CI smoke.
-    ``rcbr``
-        The CLI's paper-workload gateway: ``links`` RCBR-source links
-        built via ``ManagedLink.build`` with a seeded
-        :class:`~repro.runtime.feed.SourceFeed` per link, so twins see
-        identical sample streams.
-    """
-
-    kind: str = "trace"
-    links: int = 2
-    capacity: float = 20.0
-    placement: str = "least-loaded"
-    #: Explicit healthy-mode CE parameter for ``trace`` gateways.  When
-    #: set, the controller is built closed-form (no scipy inversion on
-    #: the decision path), which is what lets a soak's pinned digest
-    #: survive scipy version changes -- the same principle the golden
-    #: replay trace uses.  ``None`` keeps the historical p_q=0.05 build.
-    alpha: float | None = None
-    # rcbr-only knobs (mirroring the CLI's gateway builder)
-    n: float = 20.0
-    holding_time: float = 100.0
-    correlation_time: float = 10.0
-    snr: float = 0.3
-    p_q: float = 0.01
-    stale_fraction: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("trace", "rcbr"):
-            raise ParameterError(
-                f"unknown gateway spec kind {self.kind!r}; "
-                "choose 'trace' or 'rcbr'"
-            )
-        if self.links < 1:
-            raise ParameterError("a gateway spec needs at least one link")
-        if self.capacity <= 0.0:
-            raise ParameterError("capacity must be positive")
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ParameterError("alpha must be positive when given")
-
-    def with_seed(self, seed: int) -> "GatewaySpec":
-        """A copy with a different seed (per-shard feed decorrelation)."""
-        return dataclasses.replace(self, seed=int(seed))
-
-    def build(self):
-        """Build a fresh gateway from this recipe."""
-        if self.kind == "trace":
-            return self._build_trace()
-        return self._build_rcbr()
-
-    def _build_trace(self):
-        from repro.core.controllers import CertaintyEquivalentController
-        from repro.core.estimators import CrossSection, MemorylessEstimator
-        from repro.runtime.feed import TraceFeed
-        from repro.runtime.gateway import AdmissionGateway
-        from repro.runtime.link import ManagedLink
-        from repro.runtime.metrics import MetricsRegistry
-
-        n, mean, var = 6, 1.0, 0.09
-        m2 = mean * mean + var * (n - 1) / n
-        registry = MetricsRegistry()
-        links = []
-        for i in range(self.links):
-            section = CrossSection(
-                n=n, mean=mean, second_moment=m2, variance=var
-            )
-            if self.alpha is not None:
-                controller = CertaintyEquivalentController(
-                    self.capacity, alpha=self.alpha
-                )
-            else:
-                controller = CertaintyEquivalentController(self.capacity, 0.05)
-            links.append(ManagedLink(
-                f"link{i}",
-                capacity=self.capacity,
-                holding_time=100.0,
-                mean_rate=1.0,
-                feed=TraceFeed([section], period=1.0, cycle=True),
-                estimator=MemorylessEstimator(),
-                controller=controller,
-                conservative_controller=CertaintyEquivalentController(
-                    self.capacity, alpha=3.0
-                ),
-                stale_horizon=5.0,
-                registry=registry,
-            ))
-        return AdmissionGateway(
-            links, placement=self.placement, registry=registry
-        )
-
-    def _build_rcbr(self):
-        from repro.core.memory import critical_time_scale
-        from repro.runtime import (
-            AdmissionGateway,
-            ManagedLink,
-            MetricsRegistry,
-            SourceFeed,
-        )
-        from repro.traffic.rcbr import paper_rcbr_source
-
-        registry = MetricsRegistry()
-        memory = critical_time_scale(self.holding_time, self.n)
-        tick_period = max(memory / 4.0, 1e-3)
-        links = []
-        for i in range(self.links):
-            source = paper_rcbr_source(
-                mean=1.0, cv=self.snr, correlation_time=self.correlation_time
-            )
-            links.append(ManagedLink.build(
-                f"link{i}",
-                capacity=self.n * source.mean,
-                holding_time=self.holding_time,
-                mean_rate=source.mean,
-                feed=SourceFeed(
-                    source, period=tick_period, seed=self.seed * 1000 + i
-                ),
-                p_q=self.p_q,
-                snr=self.snr,
-                correlation_time=self.correlation_time,
-                stale_fraction=self.stale_fraction,
-                registry=registry,
-            ))
-        return AdmissionGateway(
-            links, placement=self.placement, registry=registry
-        )
 
 
 # -- shard child process -------------------------------------------------------

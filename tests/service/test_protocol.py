@@ -195,15 +195,21 @@ class TestResponses:
 
 
 class TestDecisionWire:
-    def test_round_trip_preserves_fields(self):
+    @pytest.mark.parametrize(
+        "admitted, degraded, health",
+        [(True, True, "degraded"), (True, False, "healthy"),
+         (False, True, "quarantined")],
+        ids=["admitted-degraded", "admitted-healthy", "rejected-quarantined"],
+    )
+    def test_round_trip_preserves_fields(self, admitted, degraded, health):
         decision = AdmissionDecision(
-            admitted=True,
+            admitted=admitted,
             link="link1",
             reason="target",
             target=17.25,
             n_flows=9,
-            degraded=True,
-            health="degraded",
+            degraded=degraded,
+            health=health,
             mu_hat=1.01,
             sigma_hat=0.29,
         )

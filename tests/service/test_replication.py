@@ -94,6 +94,34 @@ class TestGatewaySpec:
         assert spec.with_seed(7).seed == 7
         assert spec.seed == 3
 
+    def test_counter_fed_gateway_survives_a_state_checkpoint(self):
+        """A shard boots a counter-fed rcbr gateway from the supervisor's
+        checkpoint: the loaded copy decides exactly as the original."""
+        from repro.service.server import dump_gateway_state, load_gateway_state
+        from repro.telemetry import CounterPollerFeed
+
+        def drive(gateway, start, stop):
+            lines = []
+            for i in range(start, stop):
+                t = 0.25 * i
+                decision = gateway.admit(f"f{i}", t)
+                lines.append(digest_record(f"f{i}", decision))
+                if gateway.link_of(f"f{i - 2}") is not None and i % 3 == 2:
+                    gateway.depart(f"f{i - 2}", t)
+            return lines
+
+        spec = GatewaySpec(kind="rcbr", links=2, n=20, holding_time=50,
+                           feed="counters", counter_width=32, seed=5)
+        gateway = spec.build()
+        drive(gateway, 0, 200)
+        twin = load_gateway_state(dump_gateway_state(gateway))
+        assert all(
+            isinstance(link.feed, CounterPollerFeed) for link in twin.links
+        )
+        after = drive(twin, 200, 600)
+        assert after == drive(gateway, 200, 600)
+        assert {line.split(b"|")[1] for line in after} == {b"0", b"1"}
+
 
 class TestJournalBounding:
     def test_validation(self):

@@ -200,3 +200,84 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "overflow probability" in out
         assert "utilization" in out
+
+
+class _ClusterStarted(Exception):
+    """Raised by the stand-in cluster so no shard process starts."""
+
+
+CLUSTER_RUN = [
+    "serve-cluster", "--shards", "1", "--replicas", "0", "--links", "2",
+    "--n", "20", "--holding-time", "50", "--flows", "800", "--rate", "20",
+    "--seed", "0",
+]
+
+
+def cluster_spec(monkeypatch, *flags):
+    """The gateway spec ``serve-cluster`` hands to ``ProcessCluster``."""
+    import repro.service
+
+    captured = []
+
+    def stand_in(spec, **_kwargs):
+        captured.append(spec)
+        raise _ClusterStarted
+
+    monkeypatch.setattr(repro.service, "ProcessCluster", stand_in)
+    with pytest.raises(_ClusterStarted):
+        main([*CLUSTER_RUN, *flags])
+    return captured[0]
+
+
+class TestServeClusterGatewayFlags:
+    def test_defaults_are_the_oracle_rule(self, monkeypatch):
+        spec = cluster_spec(monkeypatch, "--gateway", "rcbr")
+        assert (spec.kind, spec.links, spec.n, spec.holding_time) == (
+            "rcbr", 2, 20.0, 50.0
+        )
+        assert (spec.memory, spec.tick_period, spec.feed) == (
+            None, None, "oracle"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--feed", "counters", "--counter-width", "32"],
+             {"feed": "counters", "counter_width": 32}),
+            (["--memory", "0", "--tick-period", "1"],
+             {"memory": 0.0, "tick_period": 1.0}),
+            (["--tick-period", "0.5"], {"tick_period": 0.5}),
+        ],
+    )
+    def test_every_gateway_flag_reaches_the_shards(
+        self, monkeypatch, flags, expected
+    ):
+        spec = cluster_spec(monkeypatch, "--gateway", "rcbr", *flags)
+        assert {field: getattr(spec, field) for field in expected} == expected
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--memory", "0"], "memory"),
+            (["--tick-period", "1"], "tick_period"),
+            (["--feed", "counters"], "feed"),
+        ],
+    )
+    def test_trace_gateway_rejects_what_it_fixes(
+        self, monkeypatch, capsys, flags, field
+    ):
+        import repro.service
+
+        def stand_in(*_args, **_kwargs):
+            raise AssertionError("a rejected spec reached the cluster")
+
+        monkeypatch.setattr(repro.service, "ProcessCluster", stand_in)
+        assert main([*CLUSTER_RUN, "--gateway", "trace", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the trace gateway") and field in err
+
+    def test_trace_gateway_takes_a_counter_width(self, monkeypatch):
+        spec = cluster_spec(
+            monkeypatch, "--gateway", "trace", "--counter-width", "32"
+        )
+        assert (spec.kind, spec.feed) == ("trace", "oracle")
