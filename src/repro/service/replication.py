@@ -2,9 +2,12 @@
 
 This is the step from "sharded in one event loop" to a real cluster:
 each shard is an :class:`~repro.service.server.AdmissionServer` running
-in its **own OS process** (``multiprocessing`` spawn -- every shard gets
-its own interpreter, its own core), paired with a standby follower in a
-second process.  The leader ships its ``(op, flows, effective_t)``
+in its **own OS process** (its own interpreter state, its own core),
+paired with a standby follower in a second process.  Shard processes are
+forks of one ``multiprocessing`` fork server per supervisor process,
+which preloads this module, so a shard starts with the decision path
+already imported instead of booting a fresh interpreter.  The leader
+ships its ``(op, flows, effective_t)``
 journal to the follower incrementally over the ``journal-sync`` wire op
 (binary v2 framing); each segment that reaches the journal tip carries
 the leader's decision digest at that point, so the follower proves --
@@ -48,6 +51,8 @@ import multiprocessing
 import os
 import signal
 import time
+from multiprocessing import forkserver
+from pathlib import Path
 from typing import Hashable
 
 from repro.errors import (
@@ -78,6 +83,56 @@ logger = logging.getLogger(__name__)
 
 #: Transient failures the supervisor treats as "this shard may be dead".
 _SHARD_DOWN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
+
+#: The directory ``repro`` is imported from (``src`` in a checkout).
+_PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
+
+
+def _ensure_fork_server() -> None:
+    """Start this process's shard fork server unless it is running.
+
+    The server preloads this module, so each shard it forks inherits the
+    decision path already imported.  Python's fork server imports its
+    preload modules on its own ``sys.path``, not the supervisor's, and
+    skips one it cannot import without a word; so the server is launched
+    with the package root on its ``PYTHONPATH``, which also covers a
+    supervisor that put ``repro`` on ``sys.path`` at runtime.  A server
+    that died is relaunched the same way.
+    """
+    forkserver.set_forkserver_preload([__name__])
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        path for path in (_PACKAGE_ROOT, saved) if path
+    )
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
+
+
+async def _readable(*fds: int, timeout: float) -> bool:
+    """Wait until one of ``fds`` is readable (EOF counts); ``False`` on
+    timeout.  A process sentinel turns readable when the process exits."""
+    loop = asyncio.get_running_loop()
+    ready = loop.create_future()
+
+    def wake() -> None:
+        if not ready.done():
+            ready.set_result(None)
+
+    for fd in fds:
+        loop.add_reader(fd, wake)
+    try:
+        await asyncio.wait_for(ready, timeout)
+        return True
+    except asyncio.TimeoutError:
+        return False
+    finally:
+        for fd in fds:
+            loop.remove_reader(fd)
 
 
 # -- shard child process -------------------------------------------------------
@@ -288,7 +343,7 @@ class ProcessCluster:
         self.sync_batch = int(sync_batch)
         self.ring = HashRing(vnodes=vnodes)
         self._initial_shards = int(shards)
-        self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = multiprocessing.get_context("forkserver")
         self._leaders: dict[str, ShardProcess] = {}
         self._followers: dict[str, ShardProcess | None] = {}
         self._addresses: dict[str, tuple[str, int]] = {}
@@ -332,6 +387,8 @@ class ProcessCluster:
         """Spawn every shard pair and build the ring (idempotent)."""
         if self._started:
             return self
+        # The fork server boots while the design step below runs.
+        _ensure_fork_server()
         names = [f"s{i}" for i in range(self._initial_shards)]
         states = {name: self._next_state() for name in names}
         # Spawn all followers concurrently, then all leaders (a leader
@@ -417,6 +474,7 @@ class ProcessCluster:
         standby: bool,
         follower_addr: tuple[str, int] | None = None,
     ):
+        _ensure_fork_server()
         parent, child = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_main,
@@ -458,25 +516,22 @@ class ProcessCluster:
         return ShardProcess(name, "leader", proc, addr), follower
 
     async def _recv_address(self, name, process, conn) -> tuple[str, int]:
-        deadline = time.monotonic() + self.spawn_timeout
         try:
-            while not conn.poll(0):
-                if not process.is_alive():
-                    break
-                if time.monotonic() > deadline:
-                    process.kill()
-                    raise RuntimeStateError(
-                        f"shard process {name} did not report an address "
-                        f"within {self.spawn_timeout:g}s"
-                    )
-                await asyncio.sleep(0.02)
-            else:
+            if not await _readable(conn.fileno(), process.sentinel,
+                                   timeout=self.spawn_timeout):
+                process.kill()
+                raise RuntimeStateError(
+                    f"shard process {name} did not report an address "
+                    f"within {self.spawn_timeout:g}s"
+                )
+            if conn.poll(0):
                 try:
                     return tuple(conn.recv())
                 except EOFError:
                     # The pipe closed with nothing in it: the child died
                     # before reporting.  Let it finish exiting.
-                    await asyncio.to_thread(process.join, 1.0)
+                    await _readable(process.sentinel, timeout=1.0)
+            process.join(timeout=0)
             raise RuntimeStateError(
                 f"shard process {name} died during startup "
                 f"(exit code {process.exitcode})"
@@ -504,8 +559,9 @@ class ProcessCluster:
     async def _join(self, handles, *, timeout: float) -> None:
         deadline = time.monotonic() + timeout
         for handle in handles:
-            while handle.alive and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
+            if handle.alive:
+                await _readable(handle.process.sentinel,
+                                timeout=max(0.0, deadline - time.monotonic()))
             handle.process.join(timeout=0)
 
     # -- request routing ---------------------------------------------------
@@ -660,18 +716,21 @@ class ProcessCluster:
     async def restart_shard(self, name: str) -> None:
         """Rolling restart: respawn ``name`` as a fresh pair, re-seat flows.
 
-        The old processes are terminated (SIGTERM); a brand-new
-        leader+follower pair is spawned, and the shard's flows are
-        re-installed from the supervisor table via ``migrate-in`` (with
-        their original admission times), restoring full redundancy.
+        The supervisor's connection closes first, so the old leader's
+        drain finds no open client to wait for; then the old processes
+        are terminated (SIGTERM), a brand-new leader+follower pair is
+        spawned, and the shard's flows are re-installed from the
+        supervisor table via ``migrate-in`` (with their original
+        admission times), restoring full redundancy.
         """
-        old_leader = self._shard(name)
-        old = [old_leader, self._followers.get(name)]
-        for handle in old:
-            if handle is not None and handle.alive:
-                handle.process.terminate()
-        await self._join([h for h in old if h is not None], timeout=10.0)
+        old = [handle for handle in (self._shard(name),
+                                     self._followers.get(name))
+               if handle is not None]
         await self._clients[name].close()
+        for handle in old:
+            if handle.alive:
+                handle.process.terminate()
+        await self._join(old, timeout=10.0)
         leader, follower = await self._spawn_pair(name)
         self._register(name, leader, follower)
         await self._reapply_retarget(name)

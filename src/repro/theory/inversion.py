@@ -18,6 +18,7 @@ space where everything stays well-scaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -41,6 +42,12 @@ OVERFLOW_FORMULAS: dict[str, Callable[..., float]] = {
 
 _ALPHA_MAX = 35.0  # Q(35) ~ 1e-268; far beyond any practical target.
 
+#: Distinct designs :func:`adjusted_ce_alpha` remembers.  A gateway build
+#: needs one per link design, a classed build one per class; the online
+#: re-inversion adds one per measured snr, so the bound keeps a long soak
+#: flat.
+_DESIGN_CACHE_SIZE = 128
+
 
 def adjusted_ce_alpha(
     p_q: float,
@@ -52,6 +59,15 @@ def adjusted_ce_alpha(
     formula: str = "general",
 ) -> float:
     """Solve for ``alpha_ce`` such that the predicted ``p_f`` equals ``p_q``.
+
+    The root depends only on these arguments, so each distinct design is
+    solved once per process: a small LRU memoizes the result, and a
+    repeat call returns the identical float.  The solver computes in
+    floats, so numerically equal arguments (``memory=1`` and
+    ``memory=1.0``) are one design with one entry.  Errors are not
+    memoized: an unreachable target raises on every call.
+    ``adjusted_ce_alpha.__wrapped__`` is the uncached solver, and
+    ``cache_info()`` / ``cache_clear()`` expose the memo.
 
     Parameters
     ----------
@@ -77,6 +93,30 @@ def adjusted_ce_alpha(
         no certainty-equivalent parameter can deliver this QoS at this
         memory size.
     """
+    return _solve(
+        p_q,
+        memory=memory,
+        correlation_time=correlation_time,
+        holding_time_scaled=holding_time_scaled,
+        snr=snr,
+        formula=formula,
+    )
+
+
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _solve(
+    p_q: float,
+    *,
+    memory: float,
+    correlation_time: float,
+    holding_time_scaled: float,
+    snr: float,
+    formula: str = "general",
+) -> float:
+    """One bracketed root search; memoized by :func:`adjusted_ce_alpha`."""
+    p_q, memory = float(p_q), float(memory)
+    correlation_time = float(correlation_time)
+    holding_time_scaled, snr = float(holding_time_scaled), float(snr)
     if not 0.0 < p_q < 0.5:
         raise ParameterError("p_q must lie in (0, 0.5)")
     try:
@@ -107,6 +147,11 @@ def adjusted_ce_alpha(
         # repair regime); return the least conservative bracket endpoint.
         return lo
     return float(optimize.brentq(gap, lo, hi, xtol=1e-10, rtol=1e-12))
+
+
+adjusted_ce_alpha.__wrapped__ = _solve.__wrapped__
+adjusted_ce_alpha.cache_info = _solve.cache_info
+adjusted_ce_alpha.cache_clear = _solve.cache_clear
 
 
 def adjusted_ce_target(

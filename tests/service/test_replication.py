@@ -765,6 +765,48 @@ class TestProcessCluster:
         assert promoted[0]["digest"] == served
         assert reconcile["ok"], reconcile
 
+    def test_restart_closes_the_client_before_signalling(self):
+        """A leader that still holds the supervisor's connection waits out
+        its connection-drain timeout before it exits, so a rolling restart
+        closes the shard's client before it signals the old pair, as
+        ``stop()`` and ``remove_shard()`` do."""
+        order = []
+
+        def recorded_terminate(handle):
+            terminate = handle.process.terminate
+
+            def wrapper():
+                order.append(f"terminate {handle.role}")
+                terminate()
+
+            return wrapper
+
+        async def scenario():
+            async with ProcessCluster(SPEC, shards=1, replicas=1) as cluster:
+                name = cluster.shards[0]
+                t = 0.0
+                for i in range(30):
+                    t += 0.05
+                    await cluster.admit(f"f{i}", t)
+                client = cluster._clients[name]
+                close = client.close
+
+                async def recorded_close():
+                    order.append("close")
+                    await close()
+
+                client.close = recorded_close
+                for handle in (cluster._leaders[name],
+                               cluster._followers[name]):
+                    handle.process.terminate = recorded_terminate(handle)
+                await cluster.restart_shard(name)
+                return await cluster.reconcile()
+
+        reconcile = run(scenario())
+        assert order[:3] == ["close", "terminate leader",
+                             "terminate follower"]
+        assert reconcile["ok"], reconcile
+
     def test_ring_resize_migrates_with_reconciliation(self):
         async def scenario():
             async with ProcessCluster(
@@ -810,7 +852,11 @@ asyncio.run(main())
 
 
 def _shard_running(pid: int) -> bool:
-    """Whether ``pid`` is a live shard process (not a zombie, not reused)."""
+    """Whether ``pid`` is a live shard process (not a zombie, not reused).
+
+    Shards are forks of the supervisor's fork server, so they carry its
+    command line.
+    """
     try:
         with open(f"/proc/{pid}/cmdline", "rb") as fh:
             cmdline = fh.read()
@@ -818,7 +864,7 @@ def _shard_running(pid: int) -> bool:
             state = fh.read().rsplit(")", 1)[1].split()[0]
     except (FileNotFoundError, ProcessLookupError):
         return False
-    return b"spawn_main" in cmdline and state != "Z"
+    return b"multiprocessing.forkserver" in cmdline and state != "Z"
 
 
 @pytest.mark.slow
@@ -858,6 +904,69 @@ def test_shards_exit_when_the_supervisor_is_killed(tmp_path):
         for pid in pids:
             if _shard_running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+#: Imports ``repro`` from ``argv[1]`` at runtime (as the benchmark runner
+#: does), starts a one-shard cluster with a follower, and reports what
+#: /proc says about the shard processes and their parent.
+INSPECT_SHARD_PARENTS = """
+import asyncio, json, multiprocessing, os, sys
+sys.path.insert(0, sys.argv[1])
+from repro.service.replication import GatewaySpec, ProcessCluster
+
+
+def maps(pid):
+    with open(f"/proc/{pid}/maps") as fh:
+        return fh.read()
+
+
+def parent_of(pid):
+    with open(f"/proc/{pid}/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[1])
+
+
+async def main():
+    async with ProcessCluster(GatewaySpec(), shards=1, replicas=1):
+        shards = [child.pid for child in multiprocessing.active_children()
+                  if child.name.startswith("repro-shard-")]
+        parents = sorted({parent_of(pid) for pid in shards})
+        print(json.dumps({
+            "supervisor": os.getpid(),
+            "shards": len(shards),
+            "parents": parents,
+            "numpy": ["_multiarray_umath" in maps(pid) for pid in parents],
+            "scipy": [pid for pid in parents + shards
+                      if "/scipy/" in maps(pid)],
+        }))
+
+
+asyncio.run(main())
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
+def test_shards_are_forks_of_a_preloaded_fork_server(tmp_path):
+    """Shards are forked by one fork server that has already imported the
+    decision path (numpy included) and no scipy, also when the supervisor
+    found ``repro`` only through ``sys.path`` at runtime."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", INSPECT_SHARD_PARENTS,
+         str(Path(repro.__file__).resolve().parent.parent)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["shards"] == 2
+    assert len(report["parents"]) == 1
+    assert report["parents"][0] != report["supervisor"]
+    # Preloaded: numpy's core extension is mapped before any shard forks.
+    assert report["numpy"] == [True]
+    # ``/scipy/`` is the package directory; numpy's bundled
+    # libscipy_openblas is mapped everywhere and does not count.
+    assert report["scipy"] == []
 
 
 class TestClusterLoadgen:

@@ -1,9 +1,11 @@
 """Tests for the robust-target inversion (Figs 6-7 machinery)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gaussian import q_function, q_inverse
-from repro.errors import ParameterError
+from repro.errors import ConvergenceError, ParameterError
 from repro.theory.inversion import (
     OVERFLOW_FORMULAS,
     adjusted_ce_alpha,
@@ -127,3 +129,70 @@ class TestControllerIntegration:
         )
         target = ctrl.target_count(BandwidthEstimate(mu=1.0, sigma=0.3, n=90), 0)
         assert 50.0 < target < 100.0
+
+
+def _int_or_float(lo: int, hi: int):
+    """A design value drawn as an int, an int-valued float, or any float."""
+    return st.one_of(
+        st.integers(lo, hi),
+        st.integers(lo, hi).map(float),
+        st.floats(float(lo), float(hi), allow_nan=False),
+    )
+
+
+def _solve_or_error(solver, **design):
+    try:
+        return repr(solver(**design))
+    except ConvergenceError as exc:
+        return type(exc).__name__
+
+
+class TestDesignMemo:
+    """Each distinct design is solved once per process, to the same float."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p_q=st.sampled_from([1e-2, 1e-3, 1e-6]),
+        memory=_int_or_float(0, 50),
+        correlation_time=_int_or_float(1, 20),
+        holding_time_scaled=_int_or_float(1, 100),
+        snr=st.one_of(st.just(1), st.floats(0.05, 2.0)),
+        formula=st.sampled_from(["general", "separation"]),
+    )
+    def test_cached_solver_matches_the_uncached_one(self, **design):
+        as_floats = {
+            key: float(value) if key != "formula" else value
+            for key, value in design.items()
+        }
+        uncached = adjusted_ce_alpha.__wrapped__
+        outcomes = {
+            _solve_or_error(adjusted_ce_alpha, **design),
+            _solve_or_error(adjusted_ce_alpha, **as_floats),
+            _solve_or_error(uncached, **design),
+            _solve_or_error(uncached, **as_floats),
+        }
+        assert len(outcomes) == 1, (design, outcomes)
+
+    def test_repeat_call_returns_the_identical_float(self):
+        first = adjusted_ce_alpha(1e-3, memory=7.0, **KW)
+        assert adjusted_ce_alpha(1e-3, memory=7, **KW) is first
+
+    def test_unreachable_target_raises_on_every_call(self):
+        before = adjusted_ce_alpha.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(ConvergenceError):
+                adjusted_ce_alpha(
+                    1e-300, memory=0.0, formula="separation", **KW
+                )
+        assert adjusted_ce_alpha.cache_info().misses == before + 3
+
+    def test_gateway_builds_share_one_solve(self):
+        """The seed reaches the feeds, not the design: two 4-link rcbr
+        builds with different seeds invert eqn (37) once between them."""
+        from repro.runtime.spec import GatewaySpec
+
+        adjusted_ce_alpha.cache_clear()
+        GatewaySpec(kind="rcbr", links=4, seed=0).build()
+        GatewaySpec(kind="rcbr", links=4, seed=1).build()
+        info = adjusted_ce_alpha.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
