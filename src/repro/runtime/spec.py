@@ -62,10 +62,12 @@ class GatewaySpec:
     capacity: float = 20.0
     placement: str = "least-loaded"
     #: Explicit healthy-mode CE parameter for ``trace`` gateways.  When
-    #: set, the controller is built closed-form (no scipy inversion on
-    #: the decision path), which is what lets a soak's pinned digest
-    #: survive scipy version changes -- the same principle the golden
-    #: replay trace uses.  ``None`` keeps the historical p_q=0.05 build.
+    #: set, the controller is built closed-form (no eqn-37 inversion on
+    #: the decision path) -- the same principle the golden replay trace
+    #: uses.  The inversion does not depend on the installed scipy
+    #: either: it runs on the pure-Python ports in
+    #: ``repro.theory.numerics``.  ``None`` keeps the historical
+    #: p_q=0.05 build.
     alpha: float | None = None
     # rcbr-only design values
     n: float = 20.0

@@ -87,19 +87,25 @@ _SHARD_DOWN_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError)
 #: The directory ``repro`` is imported from (``src`` in a checkout).
 _PACKAGE_ROOT = str(Path(__file__).resolve().parents[2])
 
+#: Modules the shard fork server imports before it forks any shard.
+_FORK_SERVER_PRELOAD = (__name__, "numpy.random", "repro.telemetry")
+
 
 def _ensure_fork_server() -> None:
     """Start this process's shard fork server unless it is running.
 
     The server preloads this module, so each shard it forks inherits the
-    decision path already imported.  Python's fork server imports its
+    decision path already imported, plus the two packages a shard's
+    checkpoint pulls in on load: ``numpy.random`` (an ``rcbr`` link's
+    feed holds a numpy ``Generator``) and ``repro.telemetry`` (counter-
+    and ingest-fed links).  Python's fork server imports its
     preload modules on its own ``sys.path``, not the supervisor's, and
     skips one it cannot import without a word; so the server is launched
     with the package root on its ``PYTHONPATH``, which also covers a
     supervisor that put ``repro`` on ``sys.path`` at runtime.  A server
     that died is relaunched the same way.
     """
-    forkserver.set_forkserver_preload([__name__])
+    forkserver.set_forkserver_preload(list(_FORK_SERVER_PRELOAD))
     saved = os.environ.get("PYTHONPATH")
     os.environ["PYTHONPATH"] = os.pathsep.join(
         path for path in (_PACKAGE_ROOT, saved) if path

@@ -18,7 +18,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.gaussian import q_function, q_inverse
 from repro.errors import ParameterError
@@ -120,6 +119,8 @@ def peak_overflow(
         which the curve is provably decreasing (both the drift term and the
         departures push the Q-argument up linearly).
     """
+    from scipy import optimize
+
     rho = exponential_autocorrelation(correlation_time)
     horizon = 20.0 * max(correlation_time, holding_time_scaled)
 

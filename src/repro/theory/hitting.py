@@ -25,10 +25,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy import integrate
-
 from repro.core.gaussian import q_function
 from repro.errors import ConvergenceError, ParameterError
+from repro.theory.numerics import quad
 
 __all__ = ["boundary_crossing_probability", "first_passage_density"]
 
@@ -85,7 +84,9 @@ def boundary_crossing_probability(
         boundary at ``t = 0`` (i.e. ``sigma(0) > 0``; automatic no-op
         otherwise).
     quad_limit : int
-        Subinterval budget for :func:`scipy.integrate.quad`.
+        Subinterval budget for :func:`repro.theory.numerics.quad`, the
+        pure-Python QUADPACK ``dqagse`` that matches
+        :func:`scipy.integrate.quad` bit for bit.
 
     Returns
     -------
@@ -111,15 +112,14 @@ def boundary_crossing_probability(
 
     sigma_inf = math.sqrt(max(variance_fn(1e12), _VARIANCE_FLOOR))
     horizon = max(1.0, 60.0 * sigma_inf / beta, 10.0 * alpha / beta)
-    with_warn = integrate.quad(
-        integrand, 0.0, horizon, limit=quad_limit, full_output=1
-    )
-    value = with_warn[0]
-    if len(with_warn) > 3:  # pragma: no cover - quad warning path
-        # quad reported difficulty; retry on a split domain before failing.
-        left = integrate.quad(integrand, 0.0, horizon / 100.0, limit=quad_limit)[0]
-        right = integrate.quad(
-            integrand, horizon / 100.0, horizon, limit=quad_limit
+    value, _, ier = quad(integrand, 0.0, horizon, limit=quad_limit)
+    if ier:
+        # quad reported difficulty (a nonzero dqagse status); retry on a
+        # split domain before failing.  Trouble in the retry surfaces as
+        # an IntegrationWarning with scipy's text.
+        left = quad(integrand, 0.0, horizon / 100.0, limit=quad_limit, warn=True)[0]
+        right = quad(
+            integrand, horizon / 100.0, horizon, limit=quad_limit, warn=True
         )[0]
         value = left + right
         if not math.isfinite(value):

@@ -22,15 +22,14 @@ import functools
 import math
 from typing import Callable
 
-from scipy import optimize
-
-from repro.core.gaussian import q_function, q_inverse
+from repro.core.gaussian import q_function
 from repro.errors import ConvergenceError, ParameterError
 from repro.theory.memoryful import (
     ContinuousLoadModel,
     overflow_probability,
     overflow_probability_separation,
 )
+from repro.theory.numerics import brentq
 
 __all__ = ["adjusted_ce_alpha", "adjusted_ce_target", "OVERFLOW_FORMULAS"]
 
@@ -146,7 +145,7 @@ def _solve(
         # Even a near-null safety margin already satisfies the target (deep
         # repair regime); return the least conservative bracket endpoint.
         return lo
-    return float(optimize.brentq(gap, lo, hi, xtol=1e-10, rtol=1e-12))
+    return float(brentq(gap, lo, hi, xtol=1e-10, rtol=1e-12))
 
 
 adjusted_ce_alpha.__wrapped__ = _solve.__wrapped__

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import special
 
+from repro.core import gaussian
 from repro.core.gaussian import (
     log_q_function,
     phi,
@@ -13,6 +17,28 @@ from repro.core.gaussian import (
     q_ratio_approx,
 )
 from repro.errors import ParameterError
+
+
+def _around(*points):
+    """Each point and its two floating-point neighbours."""
+    return [
+        x
+        for point in points
+        for x in (
+            math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)
+        )
+    ]
+
+
+#: Cephes ``erfc``'s branch edges: ``erf`` below |z| = 1, the P/Q
+#: rational form below 8, R/S above, and underflow past sqrt(MAXLOG).
+ERFC_EDGES = _around(1.0, 8.0, math.sqrt(gaussian._MAXLOG))
+#: Cephes ``ndtri``'s branch edges: the central form between exp(-2) and
+#: 1 - exp(-2), the P1/Q1 tail down to exp(-32), P2/Q2 below.
+NDTRI_EDGES = _around(
+    gaussian._EXPM2, 1.0 - gaussian._EXPM2, math.exp(-2.0), 1.0 - math.exp(-2.0),
+    math.exp(-32.0), 0.5, 1e-300,
+)
 
 
 class TestPhi:
@@ -112,3 +138,62 @@ class TestQRatioApprox:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             q_ratio_approx(0.0)
+
+
+class TestScalarPathIsScipyBitForBit:
+    """A Python scalar takes the pure-Python Cephes port, an array takes
+    ``scipy.special``: the two must agree to the last bit."""
+
+    def test_dense_grids(self):
+        """Every branch, densely: a coefficient one ulp off flips a few
+        hundred of these roundings."""
+        xs = np.linspace(-40.0, 40.0, 80001)
+        assert [repr(q_function(x)) for x in xs.tolist()] == [
+            repr(q) for q in q_function(xs).tolist()
+        ]
+        ps = np.concatenate(
+            [np.linspace(0.0, 1.0, 40001)[1:-1], np.logspace(-320.0, -1.0, 20001)]
+        )
+        assert [repr(q_inverse(p)) for p in ps.tolist()] == [
+            repr(alpha) for alpha in q_inverse(ps).tolist()
+        ]
+
+    @given(x=st.floats() | st.floats(-60.0, 60.0) | st.sampled_from(ERFC_EDGES))
+    @example(x=-0.0)
+    def test_q_function(self, x):
+        for z in (x, x * math.sqrt(2.0)):
+            assert repr(q_function(z)) == repr(float(q_function(np.array([z]))[0]))
+
+    @given(
+        z=st.floats()
+        | st.floats(-30.0, 30.0)
+        | st.sampled_from(ERFC_EDGES + [-e for e in ERFC_EDGES])
+    )
+    def test_erfc(self, z):
+        assert repr(gaussian._erfc(z)) == repr(float(special.erfc(z)))
+
+    @given(
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.floats(1e-320, 1e-5)
+        | st.sampled_from(NDTRI_EDGES)
+    )
+    @example(p=0.5)
+    @example(p=1e-300)
+    @example(p=math.exp(-2.0))
+    @example(p=1.0 - math.exp(-2.0))
+    def test_q_inverse(self, p):
+        assert repr(q_inverse(p)) == repr(float(q_inverse(np.array([p]))[0]))
+        assert repr(gaussian._ndtri(p)) == repr(float(special.ndtri(p)))
+
+    def test_half_keeps_scipys_signed_zero(self):
+        assert repr(q_inverse(0.5)) == repr(float(q_inverse(np.array([0.5]))[0]))
+
+    def test_scalars_return_floats(self):
+        assert type(q_function(1)) is float
+        assert type(q_function(np.float64(1.0))) is float
+        assert type(q_inverse(np.float64(0.25))) is float
+
+    def test_scalar_path_rejects_what_the_array_path_rejects(self):
+        for p in (0.0, 1.0, -0.1, 1.5, 0, 1):
+            with pytest.raises(ParameterError):
+                q_inverse(p)

@@ -8,8 +8,9 @@ a seeded :class:`SourceFeed` or by a :class:`SyntheticCounterSource`
 behind a :class:`CounterPollerFeed` (seeded ``seed*1000+i``), with
 capacity ``n x mean`` and a tick of ``max(T_m/4, 1e-3)``.  Each case
 replays the same workload on both and requires the same decision digest.
-Both sides run on the installed scipy, so no hex digest is committed and
-the test survives a scipy upgrade.
+Both sides solve their designs on the same pure-Python ports of scipy's
+solvers (``repro.theory.numerics``), so the comparison needs no committed
+hex digest.
 """
 
 from __future__ import annotations

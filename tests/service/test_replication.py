@@ -935,6 +935,8 @@ async def main():
             "shards": len(shards),
             "parents": parents,
             "numpy": ["_multiarray_umath" in maps(pid) for pid in parents],
+            "numpy.random": ["numpy/random/_generator" in maps(pid)
+                             for pid in parents],
             "scipy": [pid for pid in parents + shards
                       if "/scipy/" in maps(pid)],
         }))
@@ -948,8 +950,9 @@ asyncio.run(main())
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc")
 def test_shards_are_forks_of_a_preloaded_fork_server(tmp_path):
     """Shards are forked by one fork server that has already imported the
-    decision path (numpy included) and no scipy, also when the supervisor
-    found ``repro`` only through ``sys.path`` at runtime."""
+    decision path (numpy and ``numpy.random`` included) and no scipy, also
+    when the supervisor found ``repro`` only through ``sys.path`` at
+    runtime."""
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONPATH"}
     done = subprocess.run(
@@ -962,8 +965,11 @@ def test_shards_are_forks_of_a_preloaded_fork_server(tmp_path):
     assert report["shards"] == 2
     assert len(report["parents"]) == 1
     assert report["parents"][0] != report["supervisor"]
-    # Preloaded: numpy's core extension is mapped before any shard forks.
+    # Preloaded: numpy's core extension and numpy.random's Generator
+    # extension (an rcbr checkpoint's feeds hold Generators) are mapped
+    # before any shard forks.
     assert report["numpy"] == [True]
+    assert report["numpy.random"] == [True]
     # ``/scipy/`` is the package directory; numpy's bundled
     # libscipy_openblas is mapped everywhere and does not count.
     assert report["scipy"] == []

@@ -3,10 +3,12 @@
 Every served-server process imports ``repro.service`` and builds a
 gateway; a cluster shard imports it and loads the gateway its supervisor
 built.  Neither may drag in the simulators, the experiments, the process
-samplers or ``scipy.stats``, and a shard may not load scipy at all: they
-cost a shard most of its start-up time and tens of MiB of memory while
-deciding nothing.  Each check runs in a fresh interpreter, since this
-test session has long since imported everything.
+samplers or scipy: they cost a process most of its start-up time and
+tens of MiB of memory while deciding nothing.  The design step in a
+build runs on pure-Python ports of scipy's solvers
+(``repro.theory.numerics``), so even importing the theory loads no scipy.
+Each check runs in a fresh interpreter, since this test session has long
+since imported everything.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: Modules a shard process must never load.
+#: Modules a serving process must never load.
 OFF_THE_DECISION_PATH = (
     "repro.simulation",
     "repro.experiments",
     "repro.processes",
-    "scipy.stats",
+    "scipy",
 )
 
 
@@ -45,10 +47,16 @@ def fresh_interpreter(code: str, *argv: str):
 
 
 def test_shard_import_and_build_stay_off_the_simulators():
+    """Importing the theory and the service and building an rcbr gateway
+    and an adjusted classed gateway -- each solving eqn (37) for its
+    links -- loads none of them, scipy included."""
     loaded = fresh_interpreter(
         "import json, sys\n"
+        "import repro.theory\n"
         "import repro.service.replication as replication\n"
+        "from repro.classes import build_classed_gateway\n"
         "replication.GatewaySpec(kind='rcbr', links=4, n=100).build()\n"
+        "build_classed_gateway(links=4, adjust=True)\n"
         f"print(json.dumps([m for m in {OFF_THE_DECISION_PATH!r} "
         "if m in sys.modules]))\n"
     )
